@@ -260,10 +260,14 @@ def simulate_llc(
 ) -> CacheStats:
     """Phase 2: replay a recorded LLC stream against one policy.
 
-    Dispatches through :func:`repro.cache.fastsim.replay`: stateless
-    policies (LRU/MRU/random/SRRIP/BRRIP) take an array-backed fast
-    path, everything else runs the reference engine.  Both engines are
-    access-by-access equivalent (see the fastsim parity suite).
+    Dispatches through :func:`repro.cache.fastsim.replay`.  The
+    stateless policies (LRU/MRU/random/SRRIP/BRRIP) take an array
+    kernel whether passed by name or as an instance of the exact class;
+    the learned ones (DRRIP/SHiP/SHiP++/Hawkeye/Glider) take theirs when
+    passed by registry *name* — an instance runs the reference engine so
+    its trained state is real afterwards.  Everything else runs the
+    reference engine.  Both engines are access-by-access equivalent (see
+    the fastsim parity suite).
     """
     from .fastsim import replay
 

@@ -74,7 +74,7 @@ from pathlib import Path
 from ..obs import insight as obs_insight
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..obs.progress import ProgressReporter
+from ..perf.parallel import RunContext
 from ..robust.faults import BenchmarkFaultPlan
 from ..robust.retry import DeadlineBudget, RetryPolicy
 from ..robust.suite import RobustSuiteRunner
@@ -91,6 +91,11 @@ from .seqlen import sequence_length_sweep
 from .shuffle import shuffle_experiment
 from .speedup import single_core_speedup, summarize_speedups
 from .tables import format_table
+
+
+#: The experiments whose grids run under --robust/--fail (fig13's mixes
+#: carry no resume manifest; the other experiments have no grid).
+_ROBUST_EXPERIMENTS = ("fig9", "fig10", "fig11", "fig12")
 
 
 def _benchmarks(args) -> tuple[str, ...] | None:
@@ -163,7 +168,8 @@ def main(argv: list[str] | None = None) -> int:
         help='inject benchmark failures, e.g. "mcf" (always) or "lbm:2" (twice)',
     )
     parser.add_argument(
-        "--max-attempts", type=int, default=3, help="retries per benchmark (--robust)"
+        "--max-attempts", type=int, default=None,
+        help="retries per benchmark (--robust; default 3)",
     )
     parser.add_argument(
         "--deadline", type=float, default=None, help="suite deadline budget, seconds"
@@ -212,6 +218,22 @@ def main(argv: list[str] | None = None) -> int:
         help="suppress human-readable tables and progress (machine output only)",
     )
     args = parser.parse_args(argv)
+    if args.experiment not in _ROBUST_EXPERIMENTS:
+        given = [
+            flag
+            for flag, value in (
+                ("--robust", args.robust),
+                ("--fail", args.fail),
+                ("--max-attempts", args.max_attempts),
+                ("--deadline", args.deadline),
+            )
+            if value is not None and value is not False
+        ]
+        if given:
+            parser.error(
+                f"{', '.join(given)} not supported for {args.experiment}"
+                f" (robust runs: {', '.join(_ROBUST_EXPERIMENTS)})"
+            )
 
     # --- observability wiring -------------------------------------------
     # One run_id correlates the metrics snapshot, the trace log, the
@@ -234,11 +256,6 @@ def main(argv: list[str] | None = None) -> int:
     def emit(text: str = "") -> None:
         if not args.quiet:
             print(text, file=human_stream)
-
-    def reporter(total: int, label: str) -> ProgressReporter | None:
-        if args.jobs > 1 and not args.quiet:
-            return ProgressReporter(total, label=label)
-        return None
 
     config = ExperimentConfig(
         trace_length=args.length,
@@ -265,33 +282,38 @@ def main(argv: list[str] | None = None) -> int:
     journal = None
     if args.store:
         journal = Path(args.store) / f"journal-{args.experiment}.jsonl"
-    repro_command = (
-        f"PYTHONPATH=src python -m repro.eval {args.experiment}"
-        f" --length {args.length} --benchmarks {{task}}"
-    )
-
-    runner = None
+    suite = None
     if args.robust or args.fail:
         manifest = None
         if args.store:
             manifest = Path(args.store) / f"manifest-{args.experiment}.json"
-        runner = RobustSuiteRunner(
-            retry_policy=RetryPolicy(max_attempts=args.max_attempts),
+        suite = RobustSuiteRunner(
+            retry_policy=RetryPolicy(
+                max_attempts=3 if args.max_attempts is None else args.max_attempts
+            ),
             manifest_path=manifest,
             budget=DeadlineBudget(args.deadline) if args.deadline else None,
             fault_plan=args.fail,
             supervise=supervise,
             journal_path=journal,
-            repro_command=repro_command,
+            repro_command=(
+                f"PYTHONPATH=src python -m repro.eval {args.experiment}"
+                f" --length {args.length} --benchmarks {{task}}"
+            ),
         )
+    run = RunContext(
+        jobs=args.jobs,
+        supervise=supervise,
+        journal=journal,
+        progress=args.jobs > 1 and not args.quiet,
+        suite=suite,
+    )
 
     with obs_trace.span(
         "eval.experiment", experiment=args.experiment, jobs=args.jobs,
         length=args.length,
     ):
-        exit_code = _dispatch(
-            args, config, cache, subset, supervise, journal, runner, emit, reporter
-        )
+        exit_code = _dispatch(args, config, cache, subset, run, emit)
 
     if recorder is not None:
         obs_insight.disable()
@@ -321,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     return exit_code
 
 
-def _dispatch(args, config, cache, subset, supervise, journal, runner, emit, reporter):
+def _dispatch(args, config, cache, subset, run, emit):
     """Run one experiment subcommand and emit its human-readable tables."""
     if args.experiment == "fig4":
         rows = attention_cdf(config, cache=cache)
@@ -333,48 +355,28 @@ def _dispatch(args, config, cache, subset, supervise, journal, runner, emit, rep
         rows = shuffle_experiment(config, benchmarks=subset, cache=cache)
         emit(format_table([r.as_row() for r in rows], "Figure 6"))
     elif args.experiment == "fig9":
-        names = subset or config.offline_benchmarks
-        rows = offline_accuracy(
-            config, benchmarks=subset, cache=cache, runner=runner, jobs=args.jobs,
-            supervise=supervise, journal=journal,
-            progress=reporter(len(names), "benchmarks"),
-        )
+        rows = offline_accuracy(config, benchmarks=subset, cache=cache, run=run)
         emit(format_table([r.as_row() for r in rows], "Figure 9"))
     elif args.experiment == "fig10":
-        names = subset or config.suite
-        rows = online_accuracy(
-            config, benchmarks=subset, cache=cache, runner=runner, jobs=args.jobs,
-            supervise=supervise, journal=journal,
-            progress=reporter(len(names), "benchmarks"),
-        )
+        rows = online_accuracy(config, benchmarks=subset, cache=cache, run=run)
         emit(format_table([r.as_row() for r in rows], "Figure 10"))
     elif args.experiment == "fig11":
-        names = subset or config.suite
         contender_kwargs = (
             {"policies": tuple(args.policies.split(","))} if args.policies else {}
         )
         results = miss_rate_reduction(
-            config, benchmarks=subset, include_belady=True, cache=cache,
-            runner=runner, jobs=args.jobs, supervise=supervise, journal=journal,
-            progress=reporter(len(names), "benchmarks"),
+            config, benchmarks=subset, include_belady=True, cache=cache, run=run,
             **contender_kwargs,
         )
         emit(format_table([r.as_row() for r in results], "Figure 11"))
         emit(format_table(summarize_by_group(results)))
     elif args.experiment == "fig12":
-        names = subset or config.suite
-        results = single_core_speedup(
-            config, benchmarks=subset, cache=cache, runner=runner, jobs=args.jobs,
-            supervise=supervise, journal=journal,
-            progress=reporter(len(names), "benchmarks"),
-        )
+        results = single_core_speedup(config, benchmarks=subset, cache=cache, run=run)
         emit(format_table([r.as_row() for r in results], "Figure 12"))
         emit(format_table(summarize_speedups(results)))
     elif args.experiment == "fig13":
         results = weighted_speedup_sweep(
-            config, num_mixes=args.mixes, cache=cache, jobs=args.jobs,
-            supervise=supervise, journal=journal,
-            progress=reporter(args.mixes, "mixes"),
+            config, num_mixes=args.mixes, cache=cache, run=run
         )
         emit(format_table([r.as_row() for r in results], "Figure 13"))
         emit(str(summarize_mixes(results)))
@@ -409,8 +411,8 @@ def _dispatch(args, config, cache, subset, supervise, journal, runner, emit, rep
             f"{report['matrix']['speedup']:.2f}x vs sequential"
         )
 
-    if runner is not None and runner.last_report is not None:
-        report = runner.last_report
+    report = run.report
+    if report is not None:
         emit(f"suite: {report.summary()}")
         if report.failures:
             emit(format_table([f.as_row() for f in report.failures], "Failures"))

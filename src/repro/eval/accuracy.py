@@ -10,15 +10,14 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..cache.hierarchy import simulate_llc
-from ..perf.parallel import parallel_map
+from ..perf.parallel import RunContext
 from ..ml.svm import OfflineHawkeye, OfflineISVM, OrderedHistorySVM
 from ..ml.training import train_linear_model, train_lstm
 from ..policies.hawkeye import HawkeyePolicy
 from ..core.glider import GliderPolicy
-from ..robust.suite import RobustSuiteRunner
 from .runner import DEFAULT, ArtifactCache, ExperimentConfig
 from .tables import arithmetic_mean
 
@@ -44,15 +43,10 @@ class OfflineAccuracyResult:
 
 
 def _offline_accuracy_benchmark(
-    benchmark: str,
-    *,
-    config: ExperimentConfig,
-    linear_epochs: int,
-    cache: ArtifactCache | None = None,
-    store=None,
+    benchmark: str, *, cache: ArtifactCache, linear_epochs: int
 ) -> OfflineAccuracyResult:
     """One Figure 9 group (module-level so it pickles into pool workers)."""
-    cache = cache if cache is not None else ArtifactCache(config, store=store)
+    config = cache.config
     labelled = cache.labelled(benchmark)
     hawkeye = train_linear_model(OfflineHawkeye(), labelled, epochs=linear_epochs)
     perceptron = train_linear_model(
@@ -78,45 +72,23 @@ def offline_accuracy(
     benchmarks: tuple[str, ...] | None = None,
     cache: ArtifactCache | None = None,
     linear_epochs: int = 10,
-    runner: RobustSuiteRunner | None = None,
-    jobs: int = 1,
-    supervise=None,
-    journal=None,
-    progress=None,
+    run: RunContext | None = None,
 ) -> list[OfflineAccuracyResult]:
     """Reproduce Figure 9 (plus the "average" bar, appended last).
 
-    With a ``runner``, failing benchmarks degrade to structured failures
-    on ``runner.last_report`` and the average covers the completed rows.
-    With ``jobs > 1`` the benchmarks fan out across a supervised process
-    pool (``supervise``/``journal`` tune its watchdogs and crash
-    journal) with bit-identical results.
+    ``run`` executes the per-benchmark grid (see
+    :func:`repro.eval.missrate.miss_rate_reduction`); under robust
+    settings failing benchmarks are recorded on ``run.report`` and the
+    average covers the completed rows.
     """
     cache = cache or ArtifactCache(config)
-    benchmarks = benchmarks or config.offline_benchmarks
-    kwargs = dict(config=config, linear_epochs=linear_epochs)
-    if jobs > 1:
-        compute = functools.partial(
-            _offline_accuracy_benchmark, store=cache.store, **kwargs
-        )
-    else:
-        compute = functools.partial(_offline_accuracy_benchmark, cache=cache, **kwargs)
-    if runner is None:
-        results = parallel_map(
-            compute, benchmarks, jobs=jobs, supervise=supervise, journal=journal,
-            task_ids=list(benchmarks), progress=progress,
-        )
-    else:
-        if progress is not None:
-            runner.progress = progress
-        report = runner.run(
-            benchmarks,
-            compute,
-            serialize=asdict,
-            deserialize=lambda payload: OfflineAccuracyResult(**payload),
-            jobs=jobs,
-        )
-        results = report.results(benchmarks)
+    compute = functools.partial(
+        _offline_accuracy_benchmark, cache=cache, linear_epochs=linear_epochs
+    )
+    run = run or RunContext()
+    results = run.map(
+        compute, benchmarks or config.offline_benchmarks, OfflineAccuracyResult
+    )
     if not results:
         return results
     results.append(
@@ -148,14 +120,10 @@ class OnlineAccuracyResult:
 
 
 def _online_accuracy_benchmark(
-    benchmark: str,
-    *,
-    config: ExperimentConfig,
-    cache: ArtifactCache | None = None,
-    store=None,
+    benchmark: str, *, cache: ArtifactCache
 ) -> OnlineAccuracyResult:
     """One Figure 10 group (module-level so it pickles into pool workers)."""
-    cache = cache if cache is not None else ArtifactCache(config, store=store)
+    config = cache.config
     stream = cache.llc_stream(benchmark)
     hawkeye = HawkeyePolicy()
     simulate_llc(stream, hawkeye, config.hierarchy())
@@ -172,45 +140,19 @@ def online_accuracy(
     config: ExperimentConfig = DEFAULT,
     benchmarks: tuple[str, ...] | None = None,
     cache: ArtifactCache | None = None,
-    runner: RobustSuiteRunner | None = None,
-    jobs: int = 1,
-    supervise=None,
-    journal=None,
-    progress=None,
+    run: RunContext | None = None,
 ) -> list[OnlineAccuracyResult]:
     """Reproduce Figure 10: train-while-running accuracy of both predictors.
 
     Accuracy is measured exactly as the policies experience it: each
     sampler-labelled access scores the prediction that was made when the
-    line was last touched.  With ``jobs > 1`` the benchmarks fan out
-    across a supervised process pool with bit-identical results.
+    line was last touched.  ``run`` executes the per-benchmark grid (see
+    :func:`repro.eval.missrate.miss_rate_reduction`).
     """
     cache = cache or ArtifactCache(config)
-    benchmarks = benchmarks or config.suite
-    if jobs > 1:
-        compute = functools.partial(
-            _online_accuracy_benchmark, config=config, store=cache.store
-        )
-    else:
-        compute = functools.partial(
-            _online_accuracy_benchmark, config=config, cache=cache
-        )
-    if runner is None:
-        results = parallel_map(
-            compute, benchmarks, jobs=jobs, supervise=supervise, journal=journal,
-            task_ids=list(benchmarks), progress=progress,
-        )
-    else:
-        if progress is not None:
-            runner.progress = progress
-        report = runner.run(
-            benchmarks,
-            compute,
-            serialize=asdict,
-            deserialize=lambda payload: OnlineAccuracyResult(**payload),
-            jobs=jobs,
-        )
-        results = report.results(benchmarks)
+    compute = functools.partial(_online_accuracy_benchmark, cache=cache)
+    run = run or RunContext()
+    results = run.map(compute, benchmarks or config.suite, OnlineAccuracyResult)
     if not results:
         return results
     results.append(

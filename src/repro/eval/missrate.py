@@ -10,12 +10,11 @@ SHiP++ 7.5% on their traces).
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..cache.hierarchy import simulate_llc
-from ..perf.parallel import parallel_map
+from ..perf.parallel import RunContext
 from ..policies.belady_policy import BeladyPolicy
-from ..robust.suite import RobustSuiteRunner
 from ..traces.suite import suite_group
 from .runner import DEFAULT, ArtifactCache, ExperimentConfig
 from .tables import arithmetic_mean
@@ -54,17 +53,13 @@ class MissRateResult:
 def _missrate_benchmark(
     benchmark: str,
     *,
-    config: ExperimentConfig,
+    cache: ArtifactCache,
     policies: tuple[str, ...],
     include_belady: bool,
-    cache: ArtifactCache | None = None,
-    store=None,
 ) -> MissRateResult:
     """One Figure 11 row (module-level so a ``functools.partial`` of it
-    pickles into process-pool workers; parallel callers pass ``store``
-    and each worker rebuilds its own :class:`ArtifactCache`)."""
-    cache = cache if cache is not None else ArtifactCache(config, store=store)
-    hierarchy = config.hierarchy()
+    pickles into process-pool workers)."""
+    hierarchy = cache.config.hierarchy()
     stream = cache.llc_stream(benchmark)
     # Policies go in by registry *name*: name dispatch is what unlocks
     # the learned-policy fast kernels (instances always take the
@@ -104,49 +99,25 @@ def miss_rate_reduction(
     policies: tuple[str, ...] = CONTENDERS,
     include_belady: bool = False,
     cache: ArtifactCache | None = None,
-    runner: RobustSuiteRunner | None = None,
-    jobs: int = 1,
-    supervise=None,
-    journal=None,
-    progress=None,
+    run: RunContext | None = None,
 ) -> list[MissRateResult]:
-    """Reproduce Figure 11 rows; group averages appended at the end.
+    """Reproduce Figure 11 rows, one per benchmark.
 
-    With a ``runner``, each benchmark runs under its retry policy and a
-    benchmark that still fails is recorded on ``runner.last_report``
-    (structured failure + resume manifest) while the rest of the suite
-    completes — the returned list then holds the completed subset.
-
-    With ``jobs > 1``, benchmarks fan out across a supervised process
-    pool (``supervise``/``journal`` tune its watchdogs and crash
-    journal; a dead or hung worker costs a retry, not the run).  The
-    results are bit-identical to the sequential run (workers rebuild
-    state deterministically from the config); pair with an on-disk
-    store so the expensive stream filter runs once per benchmark
-    instead of once per worker touching it.
+    ``run`` executes the per-benchmark grid (default: in-process, in
+    order).  Its pool runs are bit-identical to the sequential run
+    (workers rebuild state deterministically from the config); give
+    ``cache`` an on-disk store so the stream filter runs once per
+    benchmark rather than once per worker touching it.  Under robust
+    settings a benchmark that still fails is recorded on ``run.report``
+    and the returned list holds the completed subset.
     """
     cache = cache or ArtifactCache(config)
-    benchmarks = benchmarks or config.suite
-    kwargs = dict(config=config, policies=policies, include_belady=include_belady)
-    if jobs > 1:
-        compute = functools.partial(_missrate_benchmark, store=cache.store, **kwargs)
-    else:
-        compute = functools.partial(_missrate_benchmark, cache=cache, **kwargs)
-    if runner is None:
-        return parallel_map(
-            compute, benchmarks, jobs=jobs, supervise=supervise, journal=journal,
-            task_ids=list(benchmarks), progress=progress,
-        )
-    if progress is not None:
-        runner.progress = progress
-    report = runner.run(
-        benchmarks,
-        compute,
-        serialize=asdict,
-        deserialize=lambda payload: MissRateResult(**payload),
-        jobs=jobs,
+    compute = functools.partial(
+        _missrate_benchmark, cache=cache, policies=policies,
+        include_belady=include_belady,
     )
-    return report.results(benchmarks)
+    run = run or RunContext()
+    return run.map(compute, benchmarks or config.suite, MissRateResult)
 
 
 def summarize_by_group(results: list[MissRateResult]) -> list[dict]:

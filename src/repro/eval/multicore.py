@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 
 from ..cpu.system import MultiCoreSystem, SingleCoreSystem
-from ..perf.parallel import parallel_map
+from ..perf.parallel import RunContext
 from ..policies.registry import make_policy
 from ..traces.mixes import WorkloadMix, make_mixes
 from .missrate import CONTENDERS
@@ -49,7 +49,6 @@ def _make_mix_policy(policy_name: str, cores: int):
 
 
 def _weighted_ipc(
-    config: ExperimentConfig,
     cache: ArtifactCache,
     mix: WorkloadMix,
     policy_name: str,
@@ -59,7 +58,9 @@ def _weighted_ipc(
     traces = [cache.trace(b) for b in mix.benchmarks]
     cores = len(traces)
     system = MultiCoreSystem(
-        traces, config.hierarchy(cores=cores), _make_mix_policy(policy_name, cores)
+        traces,
+        cache.config.hierarchy(cores=cores),
+        _make_mix_policy(policy_name, cores),
     )
     result = system.run(quota_accesses=quota)
     weighted = 0.0
@@ -69,28 +70,28 @@ def _weighted_ipc(
 
 
 def _single_ipc(
-    benchmark: str, *, config: ExperimentConfig, cores: int
+    benchmark: str, *, cache: ArtifactCache, cores: int
 ) -> tuple[str, float]:
     """One benchmark alone on the shared-size cache (pool-worker safe)."""
-    cache = ArtifactCache(config)
-    system = SingleCoreSystem(config.hierarchy(cores=cores), make_policy("lru"))
+    system = SingleCoreSystem(cache.config.hierarchy(cores=cores), make_policy("lru"))
     return benchmark, system.run(cache.trace(benchmark)).ipc
 
 
 def _mix_task(
-    mix: WorkloadMix,
+    name: str,
     *,
-    config: ExperimentConfig,
+    cache: ArtifactCache,
+    mixes: dict[str, WorkloadMix],
     policies: tuple[str, ...],
     quota: int,
     single_ipcs: dict[str, float],
 ) -> MixResult:
     """One S-curve point: a mix under LRU and every contender."""
-    cache = ArtifactCache(config)
-    lru_weighted = _weighted_ipc(config, cache, mix, "lru", quota, single_ipcs)
+    mix = mixes[name]
+    lru_weighted = _weighted_ipc(cache, mix, "lru", quota, single_ipcs)
     speedups: dict[str, float] = {}
     for policy in policies:
-        weighted = _weighted_ipc(config, cache, mix, policy, quota, single_ipcs)
+        weighted = _weighted_ipc(cache, mix, policy, quota, single_ipcs)
         speedups[policy] = 100.0 * (weighted / max(1e-9, lru_weighted) - 1.0)
     return MixResult(mix=mix, weighted_speedup_percent=speedups)
 
@@ -103,47 +104,33 @@ def weighted_speedup_sweep(
     quota: int | None = None,
     cache: ArtifactCache | None = None,
     seed: int = 42,
-    jobs: int = 1,
-    supervise=None,
-    journal=None,
-    progress=None,
+    run: RunContext | None = None,
 ) -> list[MixResult]:
     """Reproduce Figure 13 (sorted per-policy, it forms the S-curves).
 
     Mixes are mutually independent once the single-core reference IPCs
-    exist, so with ``jobs > 1`` both the reference runs and the mixes
-    fan out across a supervised process pool with bit-identical results.
+    exist, so ``run`` executes first the reference runs, then the mixes
+    (see :func:`repro.eval.missrate.miss_rate_reduction`).
     """
-    mixes = make_mixes(num_mixes, cores=cores, seed=seed)
+    cache = cache or ArtifactCache(config)
+    run = run or RunContext()
+    mixes = {mix.name: mix for mix in make_mixes(num_mixes, cores=cores, seed=seed)}
     quota = quota or max(10_000, config.trace_length // 4)
     # Single-core reference IPCs: each benchmark alone on the shared cache
     # (paper: "its IPC when executing in isolation on the same cache").
-    needed = sorted({b for mix in mixes for b in mix.benchmarks})
+    needed = sorted({b for mix in mixes.values() for b in mix.benchmarks})
     single_ipcs = dict(
-        parallel_map(
-            functools.partial(_single_ipc, config=config, cores=cores),
+        run.map(
+            functools.partial(_single_ipc, cache=cache, cores=cores),
             needed,
-            jobs=jobs,
-            supervise=supervise,
-            journal=journal,
-            task_ids=list(needed),
+            label=None,
         )
     )
-    return parallel_map(
-        functools.partial(
-            _mix_task,
-            config=config,
-            policies=policies,
-            quota=quota,
-            single_ipcs=single_ipcs,
-        ),
-        mixes,
-        jobs=jobs,
-        supervise=supervise,
-        journal=journal,
-        task_ids=[mix.name for mix in mixes],
-        progress=progress,
+    compute = functools.partial(
+        _mix_task, cache=cache, mixes=mixes, policies=policies, quota=quota,
+        single_ipcs=single_ipcs,
     )
+    return run.map(compute, mixes, label="mixes")
 
 
 def summarize_mixes(results: list[MixResult]) -> dict[str, float]:

@@ -173,6 +173,15 @@ class ArtifactCache:
         self._streams: dict[str, LLCStream] = {}
         self._labelled: dict[str, LabelledTrace] = {}
 
+    def __getstate__(self) -> dict:
+        # A pool worker gets (config, store root) and starts with an empty
+        # in-memory tier: streams travel through the disk store, if any.
+        root = self.store.root if self.store is not None else None
+        return {"config": self.config, "store": root}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["config"], store=state["store"])
+
     def trace(self, benchmark: str) -> Trace:
         return get_trace(
             benchmark,

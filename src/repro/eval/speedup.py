@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..cpu.system import SingleCoreSystem
-from ..perf.parallel import parallel_map
+from ..perf.parallel import RunContext
 from ..policies.registry import make_policy
-from ..robust.suite import RobustSuiteRunner
 from ..traces.suite import suite_group
 from .missrate import CONTENDERS
 from .runner import DEFAULT, ArtifactCache, ExperimentConfig
@@ -37,14 +36,11 @@ class SpeedupResult:
 
 
 def _speedup_benchmark(
-    benchmark: str,
-    *,
-    config: ExperimentConfig,
-    policies: tuple[str, ...],
+    benchmark: str, *, cache: ArtifactCache, policies: tuple[str, ...]
 ) -> SpeedupResult:
     """One Figure 12 row (module-level so it pickles into pool workers;
-    timing runs consume the raw trace, so no artifact cache is needed)."""
-    cache = ArtifactCache(config)
+    timing runs consume the raw trace, not the cached LLC stream)."""
+    config = cache.config
     trace = cache.trace(benchmark)
     lru = SingleCoreSystem(config.hierarchy(), make_policy("lru")).run(trace)
     ipcs: dict[str, float] = {}
@@ -63,37 +59,18 @@ def single_core_speedup(
     benchmarks: tuple[str, ...] | None = None,
     policies: tuple[str, ...] = CONTENDERS,
     cache: ArtifactCache | None = None,
-    runner: RobustSuiteRunner | None = None,
-    jobs: int = 1,
-    supervise=None,
-    journal=None,
-    progress=None,
+    run: RunContext | None = None,
 ) -> list[SpeedupResult]:
     """Reproduce Figure 12: full-hierarchy timing runs per policy.
 
-    With a ``runner``, per-benchmark failures degrade gracefully (see
-    :func:`repro.eval.missrate.miss_rate_reduction`).  With ``jobs > 1``
-    the benchmarks fan out across a supervised process pool with
-    bit-identical results (traces are regenerated deterministically per
-    worker).
+    ``run`` executes the per-benchmark grid (see
+    :func:`repro.eval.missrate.miss_rate_reduction`); traces are
+    regenerated deterministically in each worker.
     """
-    benchmarks = benchmarks or config.suite
-    compute = functools.partial(_speedup_benchmark, config=config, policies=policies)
-    if runner is None:
-        return parallel_map(
-            compute, benchmarks, jobs=jobs, supervise=supervise, journal=journal,
-            task_ids=list(benchmarks), progress=progress,
-        )
-    if progress is not None:
-        runner.progress = progress
-    report = runner.run(
-        benchmarks,
-        compute,
-        serialize=asdict,
-        deserialize=lambda payload: SpeedupResult(**payload),
-        jobs=jobs,
-    )
-    return report.results(benchmarks)
+    cache = cache or ArtifactCache(config)
+    compute = functools.partial(_speedup_benchmark, cache=cache, policies=policies)
+    run = run or RunContext()
+    return run.map(compute, benchmarks or config.suite, SpeedupResult)
 
 
 def summarize_speedups(results: list[SpeedupResult]) -> list[dict]:

@@ -5,7 +5,7 @@ by 6+ policies in Sections 5.2-5.4 — and every cell is independent
 once the per-benchmark LLC stream exists.  This module fans that grid
 out across a :class:`~concurrent.futures.ProcessPoolExecutor`:
 
-* :func:`parallel_map` — order-preserving process-pool map used by the
+* :func:`parallel_map` — order-preserving process-pool map behind the
   per-benchmark experiment drivers (``--jobs N`` on the eval CLI).
   ``jobs <= 1`` degrades to a plain loop, so sequential and parallel
   runs share one code path and produce bit-identical results.  The pool
@@ -15,6 +15,11 @@ out across a :class:`~concurrent.futures.ProcessPoolExecutor`:
   repeated pool breakage — ``BrokenProcessPool`` never escapes to the
   caller; a task that ultimately fails raises
   :class:`~repro.robust.supervise.SupervisedTaskError` instead.
+* :class:`RunContext` — the one way the figure drivers (fig9-fig13)
+  execute their per-benchmark grids: jobs, pool supervision, crash
+  journal, progress and, optionally, the robust suite settings (retry,
+  resume manifest, deadline, fault plan).  Without robust settings its
+  ``map`` *is* :func:`parallel_map`.
 * :func:`run_matrix` — explicit grid runner returning an
   :class:`ExperimentMatrix` of :class:`~repro.cache.stats.CacheStats`
   per cell, at ``"benchmark"`` granularity (one task per benchmark,
@@ -41,10 +46,13 @@ from __future__ import annotations
 import hashlib
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
+from typing import Any, Callable, Iterable, Sequence
 
 from ..cache.stats import CacheStats
+from ..obs.progress import ProgressReporter
+from ..robust.suite import RobustSuiteRunner, SuiteReport
 from ..robust.supervise import (
     CrashJournal,
     SupervisedTaskError,
@@ -52,7 +60,7 @@ from ..robust.supervise import (
     TaskSupervisor,
 )
 
-__all__ = ["ExperimentMatrix", "parallel_map", "run_matrix", "task_seed"]
+__all__ = ["ExperimentMatrix", "RunContext", "parallel_map", "run_matrix", "task_seed"]
 
 
 def task_seed(*parts, base: int = 0) -> int:
@@ -112,6 +120,69 @@ def parallel_map(
     return results
 
 
+@dataclass
+class RunContext:
+    """How a figure driver executes its grid of per-benchmark tasks.
+
+    Built once (the eval CLI builds it from its flags) and passed to the
+    grid drivers, each of which makes one :meth:`map` call through it.
+    ``jobs``, ``supervise`` and ``journal`` configure the supervised pool
+    (see :func:`parallel_map`); ``progress`` prints live per-task
+    progress on stderr.  ``suite`` carries the robust settings — a
+    :class:`~repro.robust.suite.RobustSuiteRunner` with its retry
+    policy, resume manifest, deadline budget, fault plan and repro
+    command — under which a failing task is retried and then recorded
+    on :attr:`report` instead of raising.
+    """
+
+    jobs: int = 1
+    supervise: SuperviseConfig | None = None
+    journal: CrashJournal | str | Path | None = None
+    progress: bool = False
+    suite: RobustSuiteRunner | None = None
+
+    @property
+    def report(self) -> SuiteReport | None:
+        """The robust suite's report for the last :meth:`map`, if any."""
+        return self.suite.last_report if self.suite is not None else None
+
+    def map(
+        self,
+        compute: Callable[[str], Any],
+        ids: Iterable[str],
+        result_type: type | None = None,
+        *,
+        label: str | None = "benchmarks",
+    ) -> list:
+        """``[compute(i) for i in ids]``, executed under this context.
+
+        Without ``suite`` this is :func:`parallel_map`: a task that
+        fails raises.  With it, the completed results come back in
+        ``ids`` order (failed ids are absent, recorded on
+        :attr:`report`), and ``result_type`` — a flat dataclass — turns
+        the resume manifest's JSON payloads back into results.
+        ``label`` names the tasks in progress lines (``None``: no
+        progress for this call).
+        """
+        ids = list(ids)
+        progress = None
+        if self.progress and label:
+            progress = ProgressReporter(len(ids), label=label)
+        if self.suite is None:
+            return parallel_map(
+                compute, ids, self.jobs, supervise=self.supervise,
+                journal=self.journal, task_ids=ids, progress=progress,
+            )
+        self.suite.progress = progress
+        codec = {}
+        if result_type is not None:
+            codec = dict(
+                serialize=asdict, deserialize=lambda payload: result_type(**payload)
+            )
+        report = self.suite.run(ids, compute, jobs=self.jobs, **codec)
+        return report.results(ids)
+
+
 # -- the (benchmark x policy) grid -------------------------------------------
 
 
@@ -153,7 +224,8 @@ def _warm_llc_stream(benchmark: str, config, store):
 
 
 def _matrix_benchmark_task(args) -> tuple[str, dict[str, CacheStats]]:
-    """One benchmark: build/load its stream once, replay every policy."""
+    """One benchmark's stream, replayed under each of ``policies`` (all of
+    them at ``"benchmark"`` granularity, one at ``"cell"`` granularity)."""
     benchmark, policies, config, store, engine = args
     from ..cache.fastsim import replay
     from ..policies.belady_policy import BeladyPolicy
@@ -165,12 +237,6 @@ def _matrix_benchmark_task(args) -> tuple[str, dict[str, CacheStats]]:
         spec = BeladyPolicy.from_stream(stream) if policy == "belady" else policy
         out[policy] = replay(stream, spec, hierarchy, engine=engine)
     return benchmark, out
-
-
-def _matrix_cell_task(args) -> tuple[str, dict[str, CacheStats]]:
-    """One (benchmark, policy) cell (stream via the artifact store)."""
-    benchmark, policies, config, store, engine = args
-    return _matrix_benchmark_task((benchmark, policies, config, store, engine))
 
 
 def run_matrix(
@@ -223,7 +289,6 @@ def run_matrix(
         store_ref = str(parent_cache.store.root)
         if granularity == "benchmark":
             tasks = [(b, policies, config, store_ref, engine) for b in benchmarks]
-            worker = _matrix_benchmark_task
             ids = [f"{b}" for b in benchmarks]
         else:
             tasks = [
@@ -231,12 +296,11 @@ def run_matrix(
                 for b in benchmarks
                 for p in policies
             ]
-            worker = _matrix_cell_task
             ids = [f"{b}/{p}" for b in benchmarks for p in policies]
         matrix = ExperimentMatrix(benchmarks=benchmarks, policies=policies)
         rows = parallel_map(
-            worker, tasks, jobs=jobs, supervise=supervise, journal=journal,
-            task_ids=ids, progress=progress,
+            _matrix_benchmark_task, tasks, jobs=jobs, supervise=supervise,
+            journal=journal, task_ids=ids, progress=progress,
         )
         for benchmark, stats_by_policy in rows:
             for policy, stats in stats_by_policy.items():

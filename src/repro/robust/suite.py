@@ -14,8 +14,8 @@ instead:
   *resume manifest*, so a second invocation skips finished work and
   recomputes only what failed (or was never reached).
 
-With ``jobs > 1`` the pool is run by a
-:class:`~repro.robust.supervise.TaskSupervisor`: workers are watched
+Benchmarks run under a :class:`~repro.robust.supervise.TaskSupervisor`
+(in-process for ``jobs <= 1``).  With ``jobs > 1`` workers are watched
 (per-task deadlines plus heartbeats), a broken pool is recycled and its
 survivors re-queued, poison benchmarks are quarantined, repeated
 breakage degrades the remainder to in-process sequential execution, and
@@ -35,7 +35,7 @@ from typing import Any, Callable, Sequence
 from ..obs import trace as obs_trace
 from ..traces.io import atomic_write_text
 from .faults import BenchmarkFaultPlan
-from .retry import DeadlineBudget, DeadlineExceeded, Retrier, RetryPolicy
+from .retry import DeadlineBudget, Retrier, RetryPolicy
 from .supervise import (
     TAXONOMY_DEADLINE,
     CrashJournal,
@@ -110,12 +110,15 @@ class SuiteReport:
         return "; ".join(parts)
 
 
-def _pool_benchmark_worker(args) -> tuple[str, str, Any, int]:
-    """One benchmark's attempts inside a worker process (module-level so
-    it pickles).  Returns (benchmark, "ok"|"fail", payload, attempts)
-    where the failure payload is an ``asdict``'d BenchmarkFailure."""
-    compute, benchmark, retry_policy, fault_plan = args
-    retrier = Retrier(retry_policy)
+def _benchmark_worker(args) -> tuple[str, str, Any, int]:
+    """One benchmark's attempts, in a pool worker or in-process
+    (module-level so it pickles).  Returns (benchmark, "ok"|"fail",
+    payload, attempts) where the failure payload is an ``asdict``'d
+    BenchmarkFailure.  In-process runs also pass the suite's deadline
+    budget and sleep, so a budget that expires mid-retry stops at once;
+    pool workers get neither (they do not pickle)."""
+    compute, benchmark, retry_policy, fault_plan, budget, sleep = args
+    retrier = Retrier(retry_policy, sleep=sleep or time.sleep, budget=budget)
     try:
         result = None
         for attempt in retrier:
@@ -146,7 +149,8 @@ class RobustSuiteRunner:
         budget: Optional suite-wide deadline; once exhausted, remaining
             benchmarks are recorded as deadline failures without running.
         fault_plan: Injected failures (tests / chaos drills).
-        sleep: Injectable sleep for deterministic tests.
+        sleep: Injectable retry-backoff sleep for deterministic tests
+            (in-process runs only).
         supervise: Pool-supervision knobs for ``jobs > 1`` (per-task
             deadline, pool-restart budget, degradation); defaults to
             :class:`~repro.robust.supervise.SuperviseConfig`'s defaults.
@@ -224,112 +228,23 @@ class RobustSuiteRunner:
         results are stored as-is (they must then be JSON-serialisable
         for the manifest to be written).
 
-        With ``jobs > 1``, benchmarks run on a process pool: ``compute``
-        must then be picklable (a module-level function or a partial of
-        one), retries run inside each worker, the manifest is
-        checkpointed in the parent as results land, and the report is
-        assembled in suite order so a parallel run is indistinguishable
-        from a sequential one.
+        Every benchmark runs under a :class:`TaskSupervisor` —
+        in-process for ``jobs <= 1``, on a supervised process pool
+        otherwise (``compute`` must then be picklable: a module-level
+        function or a partial of one).  Retries run where the benchmark
+        runs; a benchmark that raises, dies, hangs past its deadline, or
+        breaks the pool becomes a structured :class:`BenchmarkFailure`
+        (journaled) instead of aborting the suite.  The deadline budget
+        is enforced before each benchmark starts; work already running
+        when it expires completes and is kept.  The manifest is
+        checkpointed in the parent as each outcome lands, and the report
+        is assembled in suite order, so a parallel run is
+        indistinguishable from a sequential one.
         """
         serialize = serialize or (lambda result: result)
         deserialize = deserialize or (lambda payload: payload)
         manifest = self._load_manifest()
         report = SuiteReport()
-        if jobs > 1:
-            return self._run_parallel(
-                benchmarks, compute, serialize, deserialize, manifest, report, jobs
-            )
-
-        for benchmark in benchmarks:
-            if benchmark in manifest["done"]:
-                report.completed[benchmark] = deserialize(manifest["done"][benchmark])
-                report.resumed.append(benchmark)
-                continue
-            if self.budget is not None and self.budget.expired:
-                report.deadline_hit = True
-                report.failures.append(
-                    BenchmarkFailure(
-                        benchmark=benchmark,
-                        error_type="DeadlineExceeded",
-                        message="suite deadline exhausted before benchmark ran",
-                        attempts=0,
-                    )
-                )
-                continue
-            retrier = Retrier(self.retry_policy, sleep=self._sleep, budget=self.budget)
-            try:
-                result = None
-                for attempt in retrier:
-                    with attempt:
-                        if self.fault_plan is not None:
-                            self.fault_plan.maybe_fail(benchmark)
-                        result = compute(benchmark)
-            except DeadlineExceeded as error:
-                report.deadline_hit = True
-                report.failures.append(
-                    BenchmarkFailure(
-                        benchmark=benchmark,
-                        error_type=type(error).__name__,
-                        message=str(error),
-                        attempts=retrier.attempts_made,
-                    )
-                )
-                continue
-            except Exception as error:  # noqa: BLE001 — degrade, don't abort
-                failure = BenchmarkFailure(
-                    benchmark=benchmark,
-                    error_type=type(error).__name__,
-                    message=str(error),
-                    attempts=retrier.attempts_made,
-                    traceback=traceback.format_exc(),
-                )
-                report.failures.append(failure)
-                manifest["failed"][benchmark] = asdict(failure)
-                self._save_manifest(manifest)
-                if self.journal is not None:
-                    self.journal.append(
-                        event="task-failed",
-                        task=benchmark,
-                        taxonomy="compute-error",
-                        error_type=failure.error_type,
-                        message=failure.message,
-                        submissions=failure.attempts,
-                    )
-                continue
-            report.completed[benchmark] = result
-            manifest["done"][benchmark] = serialize(result)
-            manifest["failed"].pop(benchmark, None)
-            self._save_manifest(manifest)
-            if self.progress is not None:
-                self.progress(benchmark)
-
-        self.last_report = report
-        return report
-
-    def _run_parallel(
-        self,
-        benchmarks: Sequence[str],
-        compute: Callable[[str], Any],
-        serialize: Callable[[Any], Any],
-        deserialize: Callable[[Any], Any],
-        manifest: dict,
-        report: SuiteReport,
-        jobs: int,
-    ) -> SuiteReport:
-        """Supervised process-pool body of :meth:`run` (jobs > 1).
-
-        Benchmarks run under a :class:`TaskSupervisor`: a worker that
-        raises, dies, hangs past its deadline, or breaks the pool turns
-        into a structured :class:`BenchmarkFailure` (journaled, with the
-        pool recycled and the survivors re-queued) instead of crashing
-        the parent mid-loop.  The deadline budget is enforced at
-        submission time; work already in flight when the budget runs out
-        completes and is kept, matching the sequential runner's "never
-        throw away finished work" rule.  The manifest is checkpointed in
-        the parent as each outcome lands, and the report is assembled in
-        suite order so a parallel run is indistinguishable from a
-        sequential one.
-        """
         pending: list[str] = []
         for benchmark in benchmarks:
             if benchmark in manifest["done"]:
@@ -351,6 +266,7 @@ class RobustSuiteRunner:
             self._save_manifest(manifest)
 
         if pending:
+            budget, sleep = (self.budget, self._sleep) if jobs <= 1 else (None, None)
             supervisor = TaskSupervisor(
                 self.supervise,
                 journal=self.journal,
@@ -358,14 +274,17 @@ class RobustSuiteRunner:
                 progress=self.progress,
             )
             supervisor.map(
-                _pool_benchmark_worker,
-                [(compute, b, self.retry_policy, self.fault_plan) for b in pending],
+                _benchmark_worker,
+                [
+                    (compute, b, self.retry_policy, self.fault_plan, budget, sleep)
+                    for b in pending
+                ],
                 jobs=jobs,
                 task_ids=pending,
                 budget=self.budget,
                 on_outcome=on_outcome,
             )
-        for benchmark in benchmarks:  # suite order, like the sequential path
+        for benchmark in benchmarks:  # suite order, whatever the completion order
             if benchmark not in outcomes_by_benchmark:
                 continue
             status, payload = outcomes_by_benchmark[benchmark]
@@ -383,7 +302,7 @@ class RobustSuiteRunner:
         """Map a supervisor outcome onto the worker's (status, payload)
         protocol: ``("ok", result)`` or ``("fail", BenchmarkFailure dict)``."""
         if outcome.ok:
-            # The worker shim ran _pool_benchmark_worker to completion;
+            # The worker shim ran _benchmark_worker to completion;
             # its own retry loop already folded compute errors into a
             # BenchmarkFailure payload.
             benchmark, status, payload, _attempts = outcome.result

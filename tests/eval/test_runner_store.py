@@ -1,5 +1,7 @@
 """Disk-backed ArtifactCache: resume without recompute, no aliasing."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,22 @@ def test_cache_clear_keeps_disk_tier(tmp_path):
     cache.llc_stream("mcf")
     cache.clear()
     assert cache.store.has("mcf", "llc_stream", CFG.digest())
+
+
+def test_pickle_ships_config_and_store_root_only(tmp_path):
+    cache = ArtifactCache(CFG, store=tmp_path / "store")
+    stream = cache.llc_stream("mcf")
+    payload = pickle.dumps(cache)
+    # Pool tasks carry the cache; the in-memory streams must stay behind.
+    assert len(payload) < 1024
+    clone = pickle.loads(payload)
+    assert clone.config == CFG
+    assert clone.store.root == cache.store.root
+    assert not clone._streams and not clone._labelled
+    assert np.array_equal(clone.llc_stream("mcf").pcs, stream.pcs)
+    assert clone.store.stats.hits == 1  # read back from disk, not recomputed
+
+
+def test_pickle_without_store_stays_store_less():
+    clone = pickle.loads(pickle.dumps(ArtifactCache(CFG)))
+    assert clone.store is None and clone.config == CFG

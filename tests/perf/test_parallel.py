@@ -10,12 +10,15 @@ Wall-clock speedup is environment-dependent and is measured by the
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import pytest
 
+from repro.eval.accuracy import offline_accuracy, online_accuracy
 from repro.eval.missrate import miss_rate_reduction
 from repro.eval.runner import ArtifactCache, ExperimentConfig
-from repro.perf.parallel import parallel_map, run_matrix, task_seed
+from repro.eval.speedup import single_core_speedup
+from repro.perf.parallel import RunContext, parallel_map, run_matrix, task_seed
 
 CONFIG = ExperimentConfig(trace_length=6_000)
 BENCHMARKS = ("mcf", "lbm")
@@ -85,20 +88,31 @@ def test_run_matrix_cell_without_store_uses_ephemeral_store():
     assert by_cell.demand_miss_rates() == seq.demand_miss_rates()
 
 
-def test_experiment_driver_parallel_is_bit_identical(tmp_path):
-    """The fig11 driver end-to-end: --jobs 2 equals --jobs 1, and the
-    shared store means the stream is filtered once, not per worker."""
-    store = str(tmp_path / "store")
-    seq = miss_rate_reduction(
-        CONFIG, benchmarks=BENCHMARKS, policies=("srrip",), include_belady=True
-    )
-    cache = ArtifactCache(CONFIG, store=store)
-    par = miss_rate_reduction(
+#: One tiny (config, driver call) per grid driver; fig9 trains a
+#: one-epoch toy LSTM.
+_TINY_LSTM = replace(
+    CONFIG, lstm_embedding=8, lstm_hidden=8, lstm_history=8, lstm_epochs=1
+)
+_DRIVERS = {
+    "fig9": (_TINY_LSTM, functools.partial(offline_accuracy, linear_epochs=1)),
+    "fig10": (CONFIG, online_accuracy),
+    "fig11": (
         CONFIG,
-        benchmarks=BENCHMARKS,
-        policies=("srrip",),
-        include_belady=True,
-        cache=cache,
-        jobs=2,
-    )
+        functools.partial(
+            miss_rate_reduction, policies=("srrip",), include_belady=True
+        ),
+    ),
+    "fig12": (CONFIG, functools.partial(single_core_speedup, policies=("srrip",))),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(_DRIVERS))
+def test_experiment_driver_parallel_is_bit_identical(tmp_path, figure):
+    """Each grid driver end-to-end: a jobs=2 run context equals the
+    sequential default, with the artifact cache (and its on-disk store)
+    shipped to the workers."""
+    config, driver = _DRIVERS[figure]
+    seq = driver(config, benchmarks=BENCHMARKS)
+    cache = ArtifactCache(config, store=str(tmp_path / "store"))
+    par = driver(config, benchmarks=BENCHMARKS, cache=cache, run=RunContext(jobs=2))
     assert seq == par
