@@ -44,10 +44,6 @@ from .stats import CacheStats
 __all__ = [
     "_decode_stream",
     "_finish_stats",
-    "_replay_drrip",
-    "_replay_ship",
-    "_replay_hawkeye",
-    "_replay_glider",
     "_DRRIPKernel",
     "_ShipKernel",
     "_HawkeyeKernel",
@@ -486,23 +482,6 @@ def _drrip_feed(kernel, stream, record) -> None:
     )
 
 
-def _replay_drrip(
-    stream,
-    config: CacheConfig,
-    max_rrpv: int,
-    num_leader_sets: int,
-    psel_max: int,
-    long_prob: float,
-    seed: int,
-    record,
-) -> CacheStats:
-    kernel = _DRRIPKernel(
-        config, max_rrpv, num_leader_sets, psel_max, long_prob, seed
-    )
-    kernel.feed(stream, record)
-    return kernel.finish()
-
-
 # -- SHiP / SHiP++ ------------------------------------------------------------
 
 
@@ -679,23 +658,6 @@ def _ship_feed(kernel, stream, record) -> None:
     kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
         dh, dm, wh, wm, ev, dev
     )
-
-
-def _replay_ship(
-    stream,
-    config: CacheConfig,
-    plus: bool,
-    max_rrpv: int,
-    signature_bits: int,
-    counter_max: int,
-    num_sampled_sets: int,
-    record,
-) -> CacheStats:
-    kernel = _ShipKernel(
-        config, plus, max_rrpv, signature_bits, counter_max, num_sampled_sets
-    )
-    kernel.feed(stream, record)
-    return kernel.finish()
 
 
 # -- Hawkeye ------------------------------------------------------------------
@@ -901,22 +863,6 @@ def _hawkeye_feed(kernel, stream, record) -> None:
     kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
         dh, dm, wh, wm, ev, dev
     )
-
-
-def _replay_hawkeye(
-    stream,
-    config: CacheConfig,
-    table_bits: int,
-    counter_max: int,
-    num_sampled_sets: int,
-    window_factor: int,
-    record,
-) -> CacheStats:
-    kernel = _HawkeyeKernel(
-        config, table_bits, counter_max, num_sampled_sets, window_factor
-    )
-    kernel.feed(stream, record)
-    return kernel.finish()
 
 
 # -- Glider -------------------------------------------------------------------
@@ -1337,28 +1283,3 @@ def _glider_feed(kernel, stream, record) -> None:
     kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
         dh, dm, wh, wm, ev, dev
     )
-
-
-def _replay_glider(
-    stream,
-    config: CacheConfig,
-    k: int,
-    table_bits: int,
-    weight_hash_bits: int,
-    threshold: int,
-    adaptive: bool,
-    adapt_interval: int,
-    num_sampled_sets: int,
-    window_factor: int,
-    tracker_ways,
-    detrain: bool,
-    confidence_insertion: bool,
-    record,
-) -> CacheStats:
-    kernel = _GliderKernel(
-        config, k, table_bits, weight_hash_bits, threshold, adaptive,
-        adapt_interval, num_sampled_sets, window_factor, tracker_ways,
-        detrain, confidence_insertion,
-    )
-    kernel.feed(stream, record)
-    return kernel.finish()

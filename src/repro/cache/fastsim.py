@@ -3,17 +3,19 @@
 The reference simulator (:class:`~repro.cache.cache.SetAssociativeCache`
 driven by :func:`~repro.cache.hierarchy.simulate_llc`) walks lists of
 :class:`~repro.cache.block.CacheLine` objects and allocates a
-``CacheRequest`` per access.  That generality is what lets Hawkeye,
-Glider and the other learned policies hook every event — but for the
-*stateless* policies that dominate the experiment matrix (LRU, MRU,
-random, SRRIP, BRRIP) it is pure overhead: their victim choice is a
-function of a few per-line integers.
+``CacheRequest`` per access.  That generality is what lets every policy
+hook every event — but for the policies whose state fits in a few
+per-line integers and flat tables it is pure overhead.
 
 This module provides:
 
 * **Fast-path kernels** — flat-list tag/dirty/last-touch/RRPV state per
   set (no per-line objects, no per-access allocation, set/tag splitting
-  vectorized up front with NumPy) for the stateless policies.
+  vectorized up front with NumPy).  The stateless kernels (LRU, MRU,
+  random, SRRIP, BRRIP) live here, the learned ones (DRRIP, SHiP,
+  SHiP++, Hawkeye, Glider) in :mod:`repro.cache.fastpolicies`.  Which
+  policy takes which kernel, with which parameters, is declared once by
+  ``kernel=`` on its :class:`~repro.policies.registry.PolicySpec`.
 * **A shared engine protocol** — :func:`replay` dispatches a policy
   (registry name or instance) to its fast kernel when one exists and
   falls back *transparently* to the reference engine otherwise, so
@@ -47,6 +49,7 @@ from ..obs import insight as obs_insight
 from ..obs import instrument as obs_instrument
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..policies.registry import make_policy, policy_specs, spec_for_instance
 from .config import CacheConfig, HierarchyConfig, scaled_hierarchy
 from .fastpolicies import (
     _decode_stream,
@@ -54,10 +57,6 @@ from .fastpolicies import (
     _finish_stats,
     _GliderKernel,
     _HawkeyeKernel,
-    _replay_drrip,
-    _replay_glider,
-    _replay_hawkeye,
-    _replay_ship,
     _ShipKernel,
 )
 from .stats import CacheStats
@@ -76,37 +75,17 @@ __all__ = [
     "verify_parity",
 ]
 
-#: Registry names with a fast-path kernel (with their default parameters).
-#: The learned family (drrip/ship/ship++/hawkeye/glider) is implemented
-#: in :mod:`repro.cache.fastpolicies`; the stateless kernels live here.
-FAST_PATH_POLICIES = (
-    "lru",
-    "mru",
-    "random",
-    "srrip",
-    "brrip",
-    "drrip",
-    "ship",
-    "ship++",
-    "hawkeye",
-    "glider",
-)
+#: Registry names with a fast-path kernel, in registry order: the specs
+#: that carry ``kernel=`` (stateless kernels here, learned ones in
+#: :mod:`repro.cache.fastpolicies`).
+FAST_PATH_POLICIES = tuple(n for n, spec in policy_specs().items() if spec.kernel)
 
-#: Registry names that deliberately have *no* fast-path kernel: policies
-#: whose victim choice depends on hook-level state the flat kernels do
-#: not model (dead-block/perceptron samplers with their own bookkeeping,
-#: and the per-set reuse-distance heads of the frd family).
-#: Every registered policy must appear in exactly one of
-#: FAST_PATH_POLICIES or this tuple — enforced by the conformance
-#: registry-drift guard — so a newly registered policy cannot silently
-#: skip parity coverage.
-REFERENCE_ONLY_POLICIES = (
-    "sdbp",
-    "perceptron",
-    "mpppb",
-    "frd",
-    "mustache",
-    "deap",
+#: Registry names without a kernel: policies whose victim choice depends
+#: on hook-level state the flat kernels do not model (dead-block and
+#: perceptron samplers, the per-set reuse-distance heads of the frd
+#: family).  They replay on the reference engine.
+REFERENCE_ONLY_POLICIES = tuple(
+    n for n, spec in policy_specs().items() if spec.kernel is None
 )
 
 #: Event tuple layout: (hit, bypassed, way, evicted_tag, evicted_dirty).
@@ -152,101 +131,29 @@ def fast_path_kernel(policy) -> tuple[str, dict] | None:
     """Resolve a policy (registry name or instance) to a fast kernel.
 
     Returns ``(kernel, params)`` or None when the policy must take the
-    reference engine.  Instances are matched by *exact* type so that a
-    subclass with overridden hooks is never silently fast-pathed; a
-    stochastic policy instance is assumed fresh (un-drawn RNG), which is
-    how every experiment constructs them.  The learned policies (DRRIP,
-    SHiP, SHiP++, Hawkeye, Glider) fast-path by *registry name only*:
-    their instances accumulate trained state (PSEL/SHCT/predictor
-    tables/ISVM weights) that callers inspect after a simulation — e.g.
-    the accuracy eval reads ``policy.predictor`` — and a kernel replay
-    would leave the object untouched.  Pass the name when only the
-    stats matter; pass an instance to get a trained object back.
+    reference engine; the policy's registry spec supplies both, reading
+    every parameter from an instance.  A name resolves through a fresh
+    instance.  An instance resolves by *exact* type, so a subclass with
+    overridden hooks is never silently fast-pathed; a stochastic
+    instance is assumed fresh (un-drawn RNG), which is how every
+    experiment constructs them.  The learned policies (specs with
+    ``trains`` set: DRRIP, SHiP, SHiP++, Hawkeye, Glider) fast-path by
+    *registry name only*: their instances accumulate trained state
+    (PSEL/SHCT/predictor tables/ISVM weights) that callers inspect after
+    a simulation — e.g. the accuracy eval reads ``policy.predictor`` —
+    and a kernel replay would leave the object untouched.  Pass the name
+    when only the stats matter; pass an instance to get a trained object
+    back.
     """
-    from ..policies.lru import LRUPolicy, MRUPolicy
-    from ..policies.random_policy import RandomPolicy
-    from ..policies.rrip import BRRIPPolicy, SRRIPPolicy
-
     if isinstance(policy, str):
-        defaults = {
-            "lru": ("lru", {}),
-            "mru": ("mru", {}),
-            "random": ("random", {"seed": 0}),
-            "srrip": ("rrip", {"max_rrpv": 3, "long_prob": None, "seed": 0}),
-            "brrip": ("rrip", {"max_rrpv": 3, "long_prob": 1 / 32, "seed": 0}),
-            "drrip": (
-                "drrip",
-                {
-                    "max_rrpv": 3,
-                    "num_leader_sets": 32,
-                    "psel_max": 1023,
-                    "long_prob": 1 / 32,
-                    "seed": 0,
-                },
-            ),
-            "ship": (
-                "ship",
-                {
-                    "plus": False,
-                    "max_rrpv": 3,
-                    "signature_bits": 14,
-                    "counter_max": 7,
-                    "num_sampled_sets": 64,
-                },
-            ),
-            "ship++": (
-                "ship",
-                {
-                    "plus": True,
-                    "max_rrpv": 3,
-                    "signature_bits": 14,
-                    "counter_max": 7,
-                    "num_sampled_sets": 64,
-                },
-            ),
-            "hawkeye": (
-                "hawkeye",
-                {
-                    "table_bits": 11,
-                    "counter_max": 7,
-                    "num_sampled_sets": 64,
-                    "window_factor": 8,
-                },
-            ),
-            "glider": (
-                "glider",
-                {
-                    "k": 5,
-                    "table_bits": 11,
-                    "weight_hash_bits": 4,
-                    "threshold": 30,
-                    "adaptive": False,
-                    "adapt_interval": 512,
-                    "num_sampled_sets": 64,
-                    "window_factor": 8,
-                    "tracker_ways": None,
-                    "detrain": True,
-                    "confidence_insertion": True,
-                },
-            ),
-        }
-        return defaults.get(policy)
-    kind = type(policy)
-    if kind is LRUPolicy:
-        return "lru", {}
-    if kind is MRUPolicy:
-        return "mru", {}
-    if kind is RandomPolicy:
-        return "random", {"seed": policy._seed}
-    if kind is BRRIPPolicy:  # before SRRIP: BRRIP subclasses it
-        return "rrip", {
-            "max_rrpv": policy.max_rrpv,
-            "long_prob": policy.long_probability,
-            "seed": policy._seed,
-        }
-    if kind is SRRIPPolicy:
-        return "rrip", {"max_rrpv": policy.max_rrpv, "long_prob": None, "seed": 0}
-    return None
+        spec = policy_specs().get(policy)
+        if spec is None or spec.kernel is None:
+            return None
+        return spec.kernel(spec.make())
+    spec = spec_for_instance(policy)
+    if spec is None or spec.kernel is None or spec.trains:
+        return None
+    return spec.kernel(policy)
 
 
 def _llc_config(config) -> CacheConfig:
@@ -269,9 +176,8 @@ class _RecencyKernel:
     :mod:`repro.cache.fastpolicies`, all cross-access state lives in
     attributes so the kernel can be fed a stream in bounded-memory
     chunks (any number of :meth:`feed` calls, then :meth:`finish`) and
-    pickled between chunks for checkpointed streaming replay.  Feeding
-    the whole stream in one call is bit-identical to the historical
-    one-shot kernel — the loop bodies are unchanged.
+    pickled between chunks for checkpointed streaming replay; a one-shot
+    :func:`replay` is a single :meth:`feed` of the whole stream.
     """
 
     def __init__(self, config: CacheConfig, newest: bool) -> None:
@@ -357,12 +263,6 @@ def _recency_feed(kernel, stream, record) -> None:
             record.append((0, 0, w, ev_tag, int(ev_dirty)))
     kernel.dh, kernel.dm, kernel.wh, kernel.wm = dh, dm, wh, wm
     kernel.ev, kernel.dev, kernel.counter = ev, dev, counter
-
-
-def _replay_recency(stream, config: CacheConfig, newest: bool, record) -> CacheStats:
-    kernel = _RecencyKernel(config, newest)
-    kernel.feed(stream, record)
-    return kernel.finish()
 
 
 class _RandomKernel:
@@ -461,12 +361,6 @@ def _random_feed(kernel, stream, record) -> None:
     kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
         dh, dm, wh, wm, ev, dev
     )
-
-
-def _replay_random(stream, config: CacheConfig, seed: int, record) -> CacheStats:
-    kernel = _RandomKernel(config, seed)
-    kernel.feed(stream, record)
-    return kernel.finish()
 
 
 class _RRIPKernel:
@@ -581,38 +475,7 @@ def _rrip_feed(kernel, stream, record) -> None:
     )
 
 
-def _replay_rrip(
-    stream, config: CacheConfig, max_rrpv: int, long_prob, seed: int, record
-) -> CacheStats:
-    kernel = _RRIPKernel(config, max_rrpv, long_prob, seed)
-    kernel.feed(stream, record)
-    return kernel.finish()
-
-
-_KERNELS = {
-    "lru": lambda stream, cfg, record: _replay_recency(stream, cfg, False, record),
-    "mru": lambda stream, cfg, record: _replay_recency(stream, cfg, True, record),
-    "random": lambda stream, cfg, record, **kw: _replay_random(
-        stream, cfg, record=record, **kw
-    ),
-    "rrip": lambda stream, cfg, record, **kw: _replay_rrip(
-        stream, cfg, record=record, **kw
-    ),
-    "drrip": lambda stream, cfg, record, **kw: _replay_drrip(
-        stream, cfg, record=record, **kw
-    ),
-    "ship": lambda stream, cfg, record, **kw: _replay_ship(
-        stream, cfg, record=record, **kw
-    ),
-    "hawkeye": lambda stream, cfg, record, **kw: _replay_hawkeye(
-        stream, cfg, record=record, **kw
-    ),
-    "glider": lambda stream, cfg, record, **kw: _replay_glider(
-        stream, cfg, record=record, **kw
-    ),
-}
-
-# Kernel-kind -> chunk-feedable class (same params as fast_path_kernel).
+# Kernel kind -> chunk-feedable class (params as from fast_path_kernel).
 _STREAM_KERNELS = {
     "lru": lambda cfg, **p: _RecencyKernel(cfg, newest=False, **p),
     "mru": lambda cfg, **p: _RecencyKernel(cfg, newest=True, **p),
@@ -628,16 +491,15 @@ _STREAM_KERNELS = {
 class _ReferenceKernel:
     """Chunk-feedable wrapper around the reference object engine.
 
-    Used by the streaming replay path for policies without a fast
-    kernel.  A running ``access_index`` carries across chunks so
-    requests are numbered exactly as :meth:`LLCStream.requests` would
-    number them in one shot; the wrapped cache and policy are plain
-    attribute state, so the kernel pickles for checkpointing whenever
-    the policy itself does.
+    The reference side of every replay: :func:`reference_replay` feeds
+    it the whole stream, the streaming path feeds it chunks.  A running
+    ``access_index`` carries across chunks so requests are numbered
+    exactly as :meth:`LLCStream.requests` would number them in one shot;
+    the wrapped cache and policy are plain attribute state, so the
+    kernel pickles for checkpointing whenever the policy itself does.
     """
 
     def __init__(self, policy, config) -> None:
-        from ..policies.registry import make_policy
         from .cache import SetAssociativeCache
 
         if isinstance(policy, str):
@@ -714,28 +576,12 @@ def make_stream_kernel(policy, config=None, engine: str = "auto"):
 def reference_replay(stream, policy, config=None, record: list | None = None) -> CacheStats:
     """Replay on the reference object-based engine, optionally recording
     the per-access event stream for parity checking."""
-    from ..policies.registry import make_policy
-    from .cache import SetAssociativeCache
+    return _run(_ReferenceKernel(policy, config), stream, record)
 
-    if isinstance(policy, str):
-        policy = make_policy(policy)
-    llc = SetAssociativeCache(_llc_config(config), policy)
-    if record is None:
-        for request in stream.requests():
-            llc.access(request)
-    else:
-        for request in stream.requests():
-            result = llc.access(request)
-            record.append(
-                (
-                    int(result.hit),
-                    int(result.bypassed),
-                    result.way,
-                    result.evicted_tag,
-                    int(result.evicted_dirty),
-                )
-            )
-    return llc.stats
+
+def _run(kernel, stream, record) -> CacheStats:
+    kernel.feed(stream, record)
+    return kernel.finish()
 
 
 def replay(
@@ -818,30 +664,23 @@ def _replay(
     long unattended sweeps; with ``engine="fast"`` a parity failure
     still raises.
     """
-    if engine not in ("auto", "fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    llc = _llc_config(config)
-    kernel = fast_path_kernel(policy) if engine != "reference" else None
-    if kernel is None:
-        if engine == "fast":
-            name = policy if isinstance(policy, str) else type(policy).__name__
-            raise ValueError(f"policy {name!r} has no fast-path kernel")
-        return reference_replay(stream, policy, llc, record=record)
+    kernel = make_stream_kernel(policy, config, engine)
+    if isinstance(kernel, _ReferenceKernel):
+        return _run(kernel, stream, record)
     if verify and not isinstance(policy, str):
         raise ValueError("verify=True requires a registry-name policy")
-    kind, params = kernel
     try:
         if verify:
             fast_events = record if record is not None else []
-            fast_stats = _KERNELS[kind](stream, llc, fast_events, **params)
+            fast_stats = _run(kernel, stream, fast_events)
             ref_events: list = []
-            ref_stats = reference_replay(stream, policy, llc, record=ref_events)
+            ref_stats = reference_replay(stream, policy, config, record=ref_events)
             if fast_events != ref_events or fast_stats != ref_stats:
                 raise EngineParityError(
                     f"{policy}: fast and reference engines diverged at runtime"
                 )
             return fast_stats
-        return _KERNELS[kind](stream, llc, record, **params)
+        return _run(kernel, stream, record)
     except EngineParityError as error:
         if engine == "fast":
             raise
@@ -853,7 +692,7 @@ def _replay(
         )
         if record is not None:
             record.clear()
-        return reference_replay(stream, policy, llc, record=record)
+        return reference_replay(stream, policy, config, record=record)
 
 
 def _set_state_before(stream, policy_name: str, config, index: int) -> tuple[int, list]:
@@ -864,7 +703,6 @@ def _set_state_before(stream, policy_name: str, config, index: int) -> tuple[int
     Cost is one partial replay — negligible for the shrunk repros this
     diagnostic exists for.
     """
-    from ..policies.registry import make_policy
     from .cache import SetAssociativeCache
 
     llc_config = _llc_config(config)

@@ -102,6 +102,16 @@ class ReplacementPolicy:
     ) -> None:
         """Called when a valid ``line`` is displaced to make room."""
 
+    # -- prediction surface ------------------------------------------------
+    def prediction(self, pc: int, core: int, address: int) -> dict | None:
+        """JSON-safe answer to "will this line be reused?" for ``pc``.
+
+        Read-only: it must not train or change any replacement decision.
+        None (the default) means the policy has no reuse predictor; the
+        serving layer returns it verbatim in decision responses.
+        """
+        return None
+
     # -- conveniences ------------------------------------------------------
     def first_invalid(self, ways: Sequence[CacheLine]) -> int | None:
         """Index of the first invalid way, or None if the set is full."""

@@ -30,14 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cache.fastsim import (
-    FAST_PATH_POLICIES,
-    REFERENCE_ONLY_POLICIES,
-    EngineParityError,
-    verify_parity,
-)
+from ..cache.fastsim import FAST_PATH_POLICIES, EngineParityError, verify_parity
 from ..optgen.belady import simulate_belady
 from ..optgen.optgen import OptGen
+from ..policies.registry import policy_specs
 from .generators import CaseSpec, generate_stream, spec_config
 from .invariants import InvariantViolation, check_optgen_vector, checked_replay
 
@@ -88,14 +84,15 @@ class CaseResult:
 
 
 def default_policies() -> tuple[str, ...]:
-    """Every policy the conformance suite covers, fast-path first.
+    """Every registered policy, fast-path first, each class in registry
+    order.
 
-    Built from the two fastsim coverage lists rather than the registry
-    so the registry-drift guard (not this function) is the single place
-    that fails when a new policy is registered without a coverage
-    decision.
+    Read from the registry at call time, so a policy added with
+    :func:`~repro.policies.registry.register_policy` (which never has a
+    kernel) is fuzzed as reference-only without further wiring.
     """
-    return tuple(FAST_PATH_POLICIES) + tuple(REFERENCE_ONLY_POLICIES)
+    specs = policy_specs()
+    return tuple(sorted(specs, key=lambda name: specs[name].kernel is None))
 
 
 def cross_validate_optgen(

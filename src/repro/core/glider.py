@@ -127,6 +127,15 @@ class GliderPolicy(ReplacementPolicy):
             return self._pchr(request.core).snapshot()
         return context
 
+    def prediction(self, pc: int, core: int, address: int) -> dict:
+        """ISVM prediction over ``core``'s current PCHR."""
+        prediction = self.isvm.predict(pc, tuple(self._pchr(core)))
+        return {
+            "friendly": bool(prediction.is_friendly),
+            "confidence": prediction.confidence.value,
+            "weight_sum": int(prediction.total),
+        }
+
     @property
     def online_accuracy(self) -> float:
         """Fraction of sampler-labelled accesses predicted correctly

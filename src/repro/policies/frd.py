@@ -194,6 +194,9 @@ class FRDPolicy(ReplacementPolicy):
             "distance": bucket_midpoint(bucket),
         }
 
+    def prediction(self, pc: int, core: int, address: int) -> dict:
+        return self.predict_reuse(pc, address)
+
     # -- hooks ---------------------------------------------------------------
     def on_access(self, set_index: int, request: CacheRequest) -> None:
         state = self._state(set_index)

@@ -103,6 +103,9 @@ class HawkeyePolicy(ReplacementPolicy):
             if bool(predicted_friendly) == bool(label):
                 self.prediction_correct += 1
 
+    def prediction(self, pc: int, core: int, address: int) -> dict:
+        return {"friendly": bool(self.predictor.predict_friendly(pc))}
+
     @property
     def online_accuracy(self) -> float:
         """Fraction of sampler-labelled accesses predicted correctly."""

@@ -152,6 +152,9 @@ class MustachePolicy(ReplacementPolicy):
             "clock": state.clock,
         }
 
+    def prediction(self, pc: int, core: int, address: int) -> dict:
+        return self.predict_reuse(pc, address)
+
     # -- hooks ---------------------------------------------------------------
     def on_access(self, set_index: int, request: CacheRequest) -> None:
         state = self._state(set_index)

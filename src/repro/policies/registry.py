@@ -1,9 +1,19 @@
-"""Policy registry: build any registered replacement policy by name."""
+"""Policy registry: one :class:`PolicySpec` per replacement policy.
+
+A spec is the single description of a registered policy: how to build
+it, its exact class, and — when the fast engine
+(:mod:`repro.cache.fastsim`) has a kernel for it — how to read the
+kernel's parameters off an instance.  The fast/reference engine split,
+the conformance fuzzer's policy list and the kernel parameters are all
+derived from these entries.
+"""
 
 from __future__ import annotations
 
 import difflib
-from typing import Callable
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from ..cache.policy import ReplacementPolicy
 from ..core.glider import GliderConfig, GliderPolicy
@@ -19,23 +29,116 @@ from .rrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
 from .sdbp import SDBPPolicy
 from .ship import SHiPPlusPlusPolicy, SHiPPolicy
 
-_FACTORIES: dict[str, Callable[[], ReplacementPolicy]] = {
-    "lru": LRUPolicy,
-    "mru": MRUPolicy,
-    "random": RandomPolicy,
-    "srrip": SRRIPPolicy,
-    "brrip": BRRIPPolicy,
-    "drrip": DRRIPPolicy,
-    "ship": SHiPPolicy,
-    "ship++": SHiPPlusPlusPolicy,
-    "sdbp": SDBPPolicy,
-    "perceptron": PerceptronPolicy,
-    "mpppb": MPPPBPolicy,
-    "hawkeye": HawkeyePolicy,
-    "glider": lambda: GliderPolicy(GliderConfig()),
-    "frd": FRDPolicy,
-    "mustache": MustachePolicy,
-    "deap": DEAPPolicy,
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """How to build one registered policy and how to fast-path it.
+
+    ``make(**kwargs)`` constructs an instance (kwargs go to the policy's
+    constructor).  ``cls`` is the exact class it builds (None for a
+    :func:`register_policy` factory); instances are matched to specs by
+    exact type, so a subclass with overridden hooks never inherits a
+    kernel.  ``kernel(policy)`` returns the fast
+    engine's ``(kind, params)`` with every parameter read from the
+    instance; None means the policy runs on the reference engine only.
+    ``trains`` marks learned policies whose instances accumulate state
+    callers read after a run (PSEL, SHCT, predictor tables, ISVM
+    weights): a kernel replay would leave that state untouched, so they
+    take their kernel by registry name only.
+    """
+
+    make: Callable[..., ReplacementPolicy]
+    cls: type | None
+    kernel: Callable[[ReplacementPolicy], tuple[str, dict]] | None = None
+    trains: bool = False
+
+
+def _ship_kernel(p) -> tuple[str, dict]:
+    return "ship", {
+        "plus": isinstance(p, SHiPPlusPlusPolicy),
+        "max_rrpv": p.max_rrpv,
+        "signature_bits": p.signature_bits,
+        "counter_max": p.counter_max,
+        "num_sampled_sets": p.num_sampled_sets,
+    }
+
+
+def _glider_kernel(p) -> tuple[str, dict]:
+    c = p.config
+    return "glider", {
+        "k": c.k,
+        "table_bits": c.table_bits,
+        "weight_hash_bits": c.weight_hash_bits,
+        "threshold": c.threshold,
+        "adaptive": c.adaptive_threshold,
+        "adapt_interval": p.isvm.adapt_interval,
+        "num_sampled_sets": c.num_sampled_sets,
+        "window_factor": c.window_factor,
+        "tracker_ways": c.tracker_ways,
+        "detrain": c.detrain_on_eviction,
+        "confidence_insertion": c.confidence_insertion,
+    }
+
+
+_SPECS: dict[str, PolicySpec] = {
+    "lru": PolicySpec(LRUPolicy, LRUPolicy, lambda p: ("lru", {})),
+    "mru": PolicySpec(MRUPolicy, MRUPolicy, lambda p: ("mru", {})),
+    "random": PolicySpec(
+        RandomPolicy, RandomPolicy, lambda p: ("random", {"seed": p._seed})
+    ),
+    "srrip": PolicySpec(
+        SRRIPPolicy,
+        SRRIPPolicy,
+        lambda p: ("rrip", {"max_rrpv": p.max_rrpv, "long_prob": None, "seed": 0}),
+    ),
+    "brrip": PolicySpec(
+        BRRIPPolicy,
+        BRRIPPolicy,
+        lambda p: ("rrip", {
+            "max_rrpv": p.max_rrpv,
+            "long_prob": p.long_probability,
+            "seed": p._seed,
+        }),
+    ),
+    "drrip": PolicySpec(
+        DRRIPPolicy,
+        DRRIPPolicy,
+        lambda p: ("drrip", {
+            "max_rrpv": p.max_rrpv,
+            "num_leader_sets": p.num_leader_sets,
+            "psel_max": p.psel_max,
+            "long_prob": p.long_probability,
+            "seed": p._seed,
+        }),
+        trains=True,
+    ),
+    "ship": PolicySpec(SHiPPolicy, SHiPPolicy, _ship_kernel, trains=True),
+    "ship++": PolicySpec(
+        SHiPPlusPlusPolicy, SHiPPlusPlusPolicy, _ship_kernel, trains=True
+    ),
+    "sdbp": PolicySpec(SDBPPolicy, SDBPPolicy),
+    "perceptron": PolicySpec(PerceptronPolicy, PerceptronPolicy),
+    "mpppb": PolicySpec(MPPPBPolicy, MPPPBPolicy),
+    "hawkeye": PolicySpec(
+        HawkeyePolicy,
+        HawkeyePolicy,
+        lambda p: ("hawkeye", {
+            "table_bits": p.predictor.table_bits,
+            "counter_max": p.predictor.counter_max,
+            "num_sampled_sets": p.num_sampled_sets,
+            "window_factor": p.window_factor,
+        }),
+        trains=True,
+    ),
+    "glider": PolicySpec(
+        lambda **kw: GliderPolicy(GliderConfig(**kw)),
+        GliderPolicy,
+        _glider_kernel,
+        trains=True,
+    ),
+    "frd": PolicySpec(FRDPolicy, FRDPolicy),
+    "mustache": PolicySpec(MustachePolicy, MustachePolicy),
+    "deap": PolicySpec(DEAPPolicy, DEAPPolicy),
 }
 
 #: The policies compared in the paper's online evaluation (Figures 11-13).
@@ -66,29 +169,39 @@ class UnknownPolicyError(KeyError):
 
 def available_policies() -> list[str]:
     """Names of all constructible policies."""
-    return sorted(_FACTORIES)
+    return sorted(_SPECS)
+
+
+def policy_specs() -> Mapping[str, PolicySpec]:
+    """Read-only live view of every spec, in registration order."""
+    return MappingProxyType(_SPECS)
+
+
+def spec_for_instance(policy: ReplacementPolicy) -> PolicySpec | None:
+    """The spec whose class is exactly ``type(policy)``, if any."""
+    kind = type(policy)
+    return next((spec for spec in _SPECS.values() if spec.cls is kind), None)
 
 
 def make_policy(name: str, **kwargs) -> ReplacementPolicy:
     """Construct a fresh policy instance by registry name.
 
-    ``kwargs`` are forwarded to the policy constructor, except for the
-    parameterless registry entries (which reject them).
+    ``kwargs`` are forwarded to the policy constructor (Glider's go to
+    :class:`GliderConfig`).
     """
     try:
-        factory = _FACTORIES[name]
+        spec = _SPECS[name]
     except KeyError:
         raise UnknownPolicyError(name, available_policies()) from None
-    if kwargs:
-        # Resolve the class to forward kwargs (lambdas wrap defaults only).
-        if name == "glider":
-            return GliderPolicy(GliderConfig(**kwargs))
-        return factory.__call__(**kwargs)  # type: ignore[call-arg]
-    return factory()
+    return spec.make(**kwargs)
 
 
 def register_policy(name: str, factory: Callable[[], ReplacementPolicy]) -> None:
-    """Register a custom policy factory (for user extensions and tests)."""
-    if name in _FACTORIES:
+    """Register a custom policy factory (for user extensions and tests).
+
+    The policy has no fast kernel: it replays on the reference engine,
+    and the conformance fuzzer covers it as reference-only.
+    """
+    if name in _SPECS:
         raise ValueError(f"policy {name!r} is already registered")
-    _FACTORIES[name] = factory
+    _SPECS[name] = PolicySpec(factory, None)

@@ -57,32 +57,11 @@ class ShardEngine:
         self.cache = SetAssociativeCache(cache, self.policy)
         self.accesses = 0
 
-    # -- reuse prediction -----------------------------------------------------
-
-    def _predict_friendly(self, pc: int, core: int, address: int) -> dict | None:
-        """Duck-typed reuse prediction from whatever predictor the policy has."""
-        reuse = getattr(self.policy, "predict_reuse", None)
-        if reuse is not None:  # frd family: quantized reuse-distance head
-            try:
-                return reuse(pc, address)
-            except Exception:  # noqa: BLE001 — prediction is best-effort extra
-                return None
-        predictor = getattr(self.policy, "predictor", None)
-        if predictor is not None and hasattr(predictor, "predict_friendly"):
-            return {"friendly": bool(predictor.predict_friendly(pc))}
-        isvm = getattr(self.policy, "isvm", None)
-        if isvm is not None:  # Glider: ISVM over the core's current PCHR
-            try:
-                history = tuple(self.policy._pchr(core))
-                prediction = isvm.predict(pc, history)
-                return {
-                    "friendly": bool(prediction.is_friendly),
-                    "confidence": prediction.confidence.value,
-                    "weight_sum": int(prediction.total),
-                }
-            except Exception:  # noqa: BLE001 — prediction is best-effort extra
-                return None
-        return None
+    def _prediction(self, pc: int, core: int, address: int) -> dict | None:
+        try:
+            return self.policy.prediction(pc, core, address)
+        except Exception:  # noqa: BLE001 — prediction is best-effort extra
+            return None
 
     # -- request handling -----------------------------------------------------
 
@@ -95,7 +74,7 @@ class ShardEngine:
                 msg["id"],
                 "predict",
                 shard=self.shard_id,
-                prediction=self._predict_friendly(pc, core, address),
+                prediction=self._prediction(pc, core, address),
                 cached=self.cache.probe(address),
             )
         request = CacheRequest(
@@ -124,7 +103,7 @@ class ShardEngine:
             way=result.way,
             bypassed=result.bypassed,
             evicted=evicted,
-            prediction=self._predict_friendly(pc, core, address),
+            prediction=self._prediction(pc, core, address),
         )
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 import pytest
 
 import repro.cache.fastpolicies as fp
-from repro.cache.fastsim import reference_replay
+from repro.cache.fastsim import _STREAM_KERNELS, reference_replay
 from repro.conformance.generators import CaseSpec, generate_stream, spec_config
 from repro.optgen.sampler import OptGenSampler
+from repro.policies.registry import spec_for_instance
 from repro.policies.rrip import DRRIPPolicy
 from repro.policies.ship import SHiPPlusPlusPolicy, SHiPPolicy, pc_signature
 
@@ -25,6 +26,17 @@ def _ref(stream, config, policy):
     events: list = []
     stats = reference_replay(stream, policy, config, record=events)
     return stats, events
+
+
+def _fast(stream, config, policy):
+    """Replay on the kernel the policy's registry spec derives from this
+    (non-default) instance — the by-name-only rule for learned policies
+    is bypassed on purpose, to reach their corners."""
+    kind, params = spec_for_instance(policy).kernel(policy)
+    kernel = _STREAM_KERNELS[kind](config, **params)
+    events: list = []
+    kernel.feed(stream, events)
+    return kernel.finish(), events
 
 
 def _counters(stats):
@@ -91,17 +103,8 @@ def test_hawkeye_parity_under_heavy_window_wraparound():
     from repro.policies.hawkeye import HawkeyePolicy
 
     policy = HawkeyePolicy(table_bits=8, num_sampled_sets=8, window_factor=2)
+    fast_stats, fast_events = _fast(stream, config, policy)
     ref_stats, ref_events = _ref(stream, config, policy)
-    fast_events: list = []
-    fast_stats = fp._replay_hawkeye(
-        stream,
-        config,
-        table_bits=8,
-        counter_max=7,
-        num_sampled_sets=8,
-        window_factor=2,
-        record=fast_events,
-    )
     assert policy.sampler.events_produced > 0, "sampler must actually train"
     assert fast_events == ref_events
     assert _counters(fast_stats) == _counters(ref_stats)
@@ -133,28 +136,12 @@ def test_glider_parity_with_saturated_isvm_weights():
         window_factor=2,
     )
     policy = GliderPolicy(glider_config)
+    fast_stats, fast_events = _fast(stream, config, policy)
     ref_stats, ref_events = _ref(stream, config, policy)
     health = policy.isvm.health()
     assert health.max_abs_weight >= 127, (
         f"stream failed to saturate any ISVM weight "
         f"(max |w| = {health.max_abs_weight}); the test needs the clamp hit"
-    )
-    fast_events: list = []
-    fast_stats = fp._replay_glider(
-        stream,
-        config,
-        k=glider_config.k,
-        table_bits=glider_config.table_bits,
-        weight_hash_bits=glider_config.weight_hash_bits,
-        threshold=glider_config.threshold,
-        adaptive=glider_config.adaptive_threshold,
-        adapt_interval=512,
-        num_sampled_sets=glider_config.num_sampled_sets,
-        window_factor=glider_config.window_factor,
-        tracker_ways=glider_config.tracker_ways,
-        detrain=glider_config.detrain_on_eviction,
-        confidence_insertion=glider_config.confidence_insertion,
-        record=fast_events,
     )
     assert fast_events == ref_events
     assert _counters(fast_stats) == _counters(ref_stats)
@@ -177,18 +164,8 @@ def test_ship_parity_under_signature_collisions(plus):
     )
     cls = SHiPPlusPlusPolicy if plus else SHiPPolicy
     policy = cls(signature_bits=2, num_sampled_sets=16)
+    fast_stats, fast_events = _fast(stream, config, policy)
     ref_stats, ref_events = _ref(stream, config, policy)
-    fast_events: list = []
-    fast_stats = fp._replay_ship(
-        stream,
-        config,
-        plus=plus,
-        max_rrpv=3,
-        signature_bits=2,
-        counter_max=7,
-        num_sampled_sets=16,
-        record=fast_events,
-    )
     assert fast_events == ref_events
     assert _counters(fast_stats) == _counters(ref_stats)
 
@@ -219,17 +196,7 @@ def test_drrip_leader_assignment_parity_across_geometries(num_sets, assoc, leade
     stream = generate_stream(spec)
     config = spec_config(spec)
     policy = DRRIPPolicy(num_leader_sets=leaders, seed=0)
+    fast_stats, fast_events = _fast(stream, config, policy)
     ref_stats, ref_events = _ref(stream, config, policy)
-    fast_events: list = []
-    fast_stats = fp._replay_drrip(
-        stream,
-        config,
-        max_rrpv=3,
-        num_leader_sets=leaders,
-        psel_max=1023,
-        long_prob=1 / 32,
-        seed=0,
-        record=fast_events,
-    )
     assert fast_events == ref_events
     assert _counters(fast_stats) == _counters(ref_stats)

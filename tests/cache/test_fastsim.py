@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheConfig, HierarchyConfig, filter_to_llc_stream
+from repro.cache import CacheConfig, HierarchyConfig, filter_to_llc_stream, simulate_llc
 from repro.cache.config import DramConfig, scaled_hierarchy
 from repro.cache.fastsim import (
     FAST_PATH_POLICIES,
@@ -23,7 +23,13 @@ from repro.cache.fastsim import (
     verify_parity,
 )
 from repro.cache.hierarchy import LLCStream
-from repro.policies import LRUPolicy
+from repro.policies import (
+    BRRIPPolicy,
+    HawkeyePolicy,
+    LRUPolicy,
+    RandomPolicy,
+    SRRIPPolicy,
+)
 from repro.policies.registry import available_policies, make_policy
 from repro.traces import Trace
 from repro.traces.suite import get_trace
@@ -125,6 +131,46 @@ def test_subclass_never_takes_fast_path():
         replay(stream, AntiLRU(), _llc(), engine="fast")
 
 
+#: Non-default instances of stateless policies (fast by exact type) and
+#: the learned policies (fast by registry name only).
+_INSTANCE_CASES = {
+    "srrip-bits3": lambda: SRRIPPolicy(bits=3),
+    "brrip-bits3-p025-seed7": lambda: BRRIPPolicy(
+        bits=3, long_probability=0.25, seed=7
+    ),
+    "random-seed9": lambda: RandomPolicy(seed=9),
+    "drrip": lambda: make_policy("drrip"),
+    "ship": lambda: make_policy("ship"),
+    "ship++": lambda: make_policy("ship++"),
+    "hawkeye": lambda: make_policy("hawkeye"),
+    "glider": lambda: make_policy("glider"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INSTANCE_CASES))
+def test_instance_dispatch_rule(case):
+    """Instances resolve by exact type with their *own* parameters;
+    learned instances never take a kernel, so their trained state stays
+    readable after the run (Figure 10 reads it)."""
+    make = _INSTANCE_CASES[case]
+    stream = _synthetic_stream(n=3000, seed=13, line_count=96)
+    config = _llc()
+    if case in ("drrip", "ship", "ship++", "hawkeye", "glider"):
+        assert fast_path_kernel(make()) is None
+        if case == "hawkeye":
+            policy = HawkeyePolicy()
+            simulate_llc(stream, policy, config)
+            assert policy.online_accuracy > 0
+        return
+    assert fast_path_kernel(make()) is not None
+    fast_events: list = []
+    ref_events: list = []
+    fast = replay(stream, make(), config, engine="fast", record=fast_events)
+    ref = reference_replay(stream, make(), config, record=ref_events)
+    assert fast_events == ref_events
+    assert fast == ref
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
@@ -160,10 +206,14 @@ def test_auto_engine_falls_back_on_runtime_parity_error(monkeypatch):
     config = _llc()
     expected = reference_replay(stream, make_policy("lru"), config)
 
-    def broken_kernel(stream, cfg, record, **kw):
-        raise EngineParityError("self-check tripped")
+    class BrokenKernel:
+        def __init__(self, cfg, **params):
+            pass
 
-    monkeypatch.setitem(fastsim._KERNELS, "lru", broken_kernel)
+        def feed(self, stream, record=None):
+            raise EngineParityError("self-check tripped")
+
+    monkeypatch.setitem(fastsim._STREAM_KERNELS, "lru", BrokenKernel)
     with pytest.warns(RuntimeWarning, match="parity"):
         record: list = []
         stats = replay(stream, "lru", config, engine="auto", record=record)
@@ -188,11 +238,19 @@ def test_verify_mode_cross_checks_both_engines(monkeypatch):
     stats = replay(stream, "lru", config, engine="auto", verify=True)
     assert _stats_tuple(stats) == _stats_tuple(expected)
 
-    def silent_kernel(s, cfg, record, **kw):
-        # Right stats, but records no events: the cross-check must trip.
-        return reference_replay(s, make_policy("lru"), cfg)
+    class SilentKernel:
+        """Right stats, but records no events: the cross-check must trip."""
 
-    monkeypatch.setitem(fastsim._KERNELS, "lru", silent_kernel)
+        def __init__(self, cfg, **params):
+            self.cfg = cfg
+
+        def feed(self, s, record=None):
+            self.stats = reference_replay(s, make_policy("lru"), self.cfg)
+
+        def finish(self):
+            return self.stats
+
+    monkeypatch.setitem(fastsim._STREAM_KERNELS, "lru", SilentKernel)
     with pytest.warns(RuntimeWarning):
         stats = replay(stream, "lru", config, engine="auto", verify=True)
     assert _stats_tuple(stats) == _stats_tuple(expected)

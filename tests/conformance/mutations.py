@@ -11,73 +11,70 @@ from __future__ import annotations
 import repro.cache.fastsim as fastsim
 
 
-def buggy_recency_kernel(stream, config, newest: bool, record):
-    """The LRU/MRU kernel with an off-by-one in the victim choice.
+class OffByOneRecencyKernel(fastsim._RecencyKernel):
+    """The LRU/MRU stream kernel with an off-by-one in the victim choice.
 
-    Identical to :func:`repro.cache.fastsim._replay_recency` except the
+    Identical to :func:`repro.cache.fastsim._recency_feed` except the
     chosen victim way is rotated by one — the classic indexing bug a
     fast-path rewrite can introduce.  Diverges from the reference
     engine on the first eviction from any full set.
     """
-    sets, tags, kinds, cores = fastsim._decode_stream(stream, config)
-    num_sets, assoc = config.num_sets, config.associativity
-    tag_t = [[-1] * assoc for _ in range(num_sets)]
-    touch_t = [[0] * assoc for _ in range(num_sets)]
-    dirty_t = [[False] * assoc for _ in range(num_sets)]
-    fill_count = [0] * num_sets
-    dh = dm = wh = wm = ev = dev = counter = 0
-    pch: dict[int, int] = {}
-    pcm: dict[int, int] = {}
-    for i in range(len(sets)):
-        s = sets[i]
-        t = tags[i]
-        k = kinds[i]
-        counter += 1
-        row = tag_t[s]
-        if t in row:
-            w = row.index(t)
-            touch_t[s][w] = counter
-            if k != fastsim._KIND_LOAD:
-                dirty_t[s][w] = True
+
+    def feed(self, stream, record=None) -> None:
+        config = self.config
+        sets, tags, kinds, cores = fastsim._decode_stream(stream, config)
+        assoc = config.associativity
+        tag_t, touch_t, dirty_t = self.tag_t, self.touch_t, self.dirty_t
+        fill_count = self.fill_count
+        for i in range(len(sets)):
+            s = sets[i]
+            t = tags[i]
+            k = kinds[i]
+            self.counter += 1
+            row = tag_t[s]
+            if t in row:
+                w = row.index(t)
+                touch_t[s][w] = self.counter
+                if k != fastsim._KIND_LOAD:
+                    dirty_t[s][w] = True
+                if k != fastsim._KIND_WRITEBACK:
+                    self.dh += 1
+                    c = cores[i]
+                    self.pch[c] = self.pch.get(c, 0) + 1
+                else:
+                    self.wh += 1
+                if record is not None:
+                    record.append((1, 0, w, -1, 0))
+                continue
             if k != fastsim._KIND_WRITEBACK:
-                dh += 1
+                self.dm += 1
                 c = cores[i]
-                pch[c] = pch.get(c, 0) + 1
+                self.pcm[c] = self.pcm.get(c, 0) + 1
             else:
-                wh += 1
+                self.wm += 1
+            ev_tag, ev_dirty = -1, False
+            if fill_count[s] < assoc:
+                w = row.index(-1)
+                fill_count[s] += 1
+            else:
+                tr = touch_t[s]
+                w = tr.index(max(tr)) if self.newest else tr.index(min(tr))
+                w = (w + 1) % assoc  # THE INJECTED OFF-BY-ONE
+                ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                self.ev += 1
+                if ev_dirty:
+                    self.dev += 1
+            row[w] = t
+            touch_t[s][w] = self.counter
+            dirty_t[s][w] = k != fastsim._KIND_LOAD
             if record is not None:
-                record.append((1, 0, w, -1, 0))
-            continue
-        if k != fastsim._KIND_WRITEBACK:
-            dm += 1
-            c = cores[i]
-            pcm[c] = pcm.get(c, 0) + 1
-        else:
-            wm += 1
-        ev_tag, ev_dirty = -1, False
-        if fill_count[s] < assoc:
-            w = row.index(-1)
-            fill_count[s] += 1
-        else:
-            tr = touch_t[s]
-            w = tr.index(max(tr)) if newest else tr.index(min(tr))
-            w = (w + 1) % assoc  # THE INJECTED OFF-BY-ONE
-            ev_tag, ev_dirty = row[w], dirty_t[s][w]
-            ev += 1
-            if ev_dirty:
-                dev += 1
-        row[w] = t
-        touch_t[s][w] = counter
-        dirty_t[s][w] = k != fastsim._KIND_LOAD
-        if record is not None:
-            record.append((0, 0, w, ev_tag, int(ev_dirty)))
-    return fastsim._finish_stats(config.name, dh, dm, wh, wm, ev, dev, pch, pcm)
+                record.append((0, 0, w, ev_tag, int(ev_dirty)))
 
 
 def install_lru_off_by_one(monkeypatch) -> None:
     """Monkeypatch the LRU fast kernel with the off-by-one variant."""
-    kernels = dict(fastsim._KERNELS)
-    kernels["lru"] = lambda stream, cfg, record: buggy_recency_kernel(
-        stream, cfg, False, record
+    monkeypatch.setitem(
+        fastsim._STREAM_KERNELS,
+        "lru",
+        lambda cfg, **params: OffByOneRecencyKernel(cfg, newest=False, **params),
     )
-    monkeypatch.setattr(fastsim, "_KERNELS", kernels)

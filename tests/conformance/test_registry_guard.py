@@ -1,54 +1,36 @@
-"""Registry-drift guard: fastsim must classify every registry policy.
+"""Engine classification pins for the registry.
 
-The conformance fuzzer derives its policy list from
-``FAST_PATH_POLICIES + REFERENCE_ONLY_POLICIES`` (deliberately *not*
-from the registry), so this test is the single point that fails when a
-new policy is registered without deciding its engine story.  Fix a
-failure here by either adding a fast kernel (and FAST_PATH_POLICIES
-entry) or appending the name to REFERENCE_ONLY_POLICIES in fastsim.py —
-both routes put the policy under differential fuzz coverage.
+Each registry :class:`~repro.policies.registry.PolicySpec` declares its
+fast kernel (or none), and ``FAST_PATH_POLICIES``,
+``REFERENCE_ONLY_POLICIES`` and the conformance fuzzer's default policy
+list are all derived from those specs, so every registered policy is
+classified — and fuzzed — by construction.  What remains to pin here
+are deliberate classification decisions that a refactor must not flip
+silently.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cache.fastsim import FAST_PATH_POLICIES, REFERENCE_ONLY_POLICIES
 from repro.conformance.differential import default_policies
+from repro.policies import registry
 from repro.policies.lru import LRUPolicy
-from repro.policies.registry import (
-    _FACTORIES,
-    available_policies,
-    register_policy,
-)
-
-
-def test_every_registry_policy_is_classified():
-    covered = set(FAST_PATH_POLICIES) | set(REFERENCE_ONLY_POLICIES)
-    missing = sorted(set(available_policies()) - covered)
-    assert not missing, (
-        f"policies registered but unclassified in fastsim.py: {missing} — "
-        "add a fast kernel to FAST_PATH_POLICIES or list them in "
-        "REFERENCE_ONLY_POLICIES so the conformance fuzzer covers them"
-    )
-
-
-def test_no_stale_classifications():
-    """Names listed in fastsim must still exist in the registry."""
-    registered = set(available_policies())
-    stale = sorted(
-        (set(FAST_PATH_POLICIES) | set(REFERENCE_ONLY_POLICIES)) - registered
-    )
-    assert not stale, f"fastsim lists policies no longer registered: {stale}"
-
-
-def test_classifications_are_disjoint():
-    overlap = sorted(set(FAST_PATH_POLICIES) & set(REFERENCE_ONLY_POLICIES))
-    assert not overlap, f"policies in both engine classes: {overlap}"
 
 
 def test_fuzzer_default_covers_whole_registry():
-    assert set(default_policies()) == set(available_policies())
+    assert set(default_policies()) == set(registry.available_policies())
+
+
+def test_registered_policy_is_fuzzed_as_reference_only():
+    """A policy added at runtime joins the fuzzer's default list, after
+    every fast-path policy (it has no kernel)."""
+    registry.register_policy("custom-registered", LRUPolicy)
+    try:
+        policies = default_policies()
+        assert "custom-registered" in policies
+        assert set(policies[: len(FAST_PATH_POLICIES)]) == set(FAST_PATH_POLICIES)
+    finally:
+        registry._SPECS.pop("custom-registered")
 
 
 def test_reuse_distance_family_is_reference_classified():
@@ -62,26 +44,11 @@ def test_reuse_distance_family_is_reference_classified():
     )
 
 
-def test_unclassified_registration_fails_loudly():
-    """Registering a policy without a conformance classification must
-    trip the drift guard — the failure mode this file exists to catch
-    cannot itself regress silently."""
-    register_policy("totally-unclassified", LRUPolicy)
-    try:
-        assert "totally-unclassified" in available_policies()
-        assert "totally-unclassified" not in default_policies()
-        with pytest.raises(AssertionError, match="unclassified"):
-            test_every_registry_policy_is_classified()
-        with pytest.raises(AssertionError):
-            test_fuzzer_default_covers_whole_registry()
-    finally:
-        _FACTORIES.pop("totally-unclassified")
-
-
 def test_learned_policies_stay_fast_pathed():
     """The paper's evaluated policies must not silently lose their
-    kernels — demoting one to REFERENCE_ONLY_POLICIES is a deliberate
-    (and benchmark-visible) decision, not a refactor side effect."""
+    kernels — dropping ``kernel=`` from one of their specs is a
+    deliberate (and benchmark-visible) decision, not a refactor side
+    effect."""
     demoted = sorted(
         {"drrip", "ship", "ship++", "hawkeye", "glider"}
         - set(FAST_PATH_POLICIES)
