@@ -851,6 +851,7 @@ def _fast_filter(trace, config: HierarchyConfig | None = None):
         l1_hits=filt.l1_hits,
         l2_hits=filt.l2_hits,
         metadata=dict(trace.metadata),
+        levels=chunk.levels,
     )
 
 
@@ -861,7 +862,9 @@ class StreamChunk:
     Duck-types the subset of :class:`~repro.cache.hierarchy.LLCStream`
     the replay kernels read (``pcs``/``addresses``/``kinds``/``cores``
     columns plus ``name``), without the whole-trace bookkeeping — the
-    streaming path never materializes a full stream.
+    streaming path never materializes a full stream.  ``levels`` has one
+    entry per *source* access of the chunk: the level that served it
+    (see :attr:`~repro.cache.hierarchy.LLCStream.levels`).
     """
 
     name: str
@@ -869,6 +872,7 @@ class StreamChunk:
     addresses: np.ndarray
     kinds: np.ndarray
     cores: np.ndarray
+    levels: np.ndarray
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -944,6 +948,9 @@ def _filter_feed(filt, pcs_arr, addresses_arr, is_write_arr) -> StreamChunk:
     r_kinds: list[int] = []
     r_cores: list[int] = []
     c1, c2, l1_hits, l2_hits = filt.c1, filt.c2, filt.l1_hits, filt.l2_hits
+    # Service level per source access (LLCStream.LEVEL_* codes: 0 L1 hit,
+    # 1 L2 hit, 2 reached the LLC); L1 hits keep the zero fill.
+    levels = bytearray(len(lines))
 
     for i in range(len(lines)):
         is_write = writes[i]
@@ -974,7 +981,9 @@ def _filter_feed(filt, pcs_arr, addresses_arr, is_write_arr) -> StreamChunk:
             if is_write:
                 l2_dirty[s][w] = True
             l2_hits += 1
+            levels[i] = 1
             continue
+        levels[i] = 2
         pc = pcs[i]
         r_pcs.append(pc)
         r_addresses.append(addresses[i])
@@ -1005,4 +1014,5 @@ def _filter_feed(filt, pcs_arr, addresses_arr, is_write_arr) -> StreamChunk:
         addresses=np.array(r_addresses, dtype=np.uint64),
         kinds=np.array(r_kinds, dtype=np.int8),
         cores=np.array(r_cores, dtype=np.int16),
+        levels=np.frombuffer(levels, dtype=np.int8),
     )

@@ -11,8 +11,12 @@ Replacement-policy studies follow a two-phase methodology:
    (:func:`simulate_llc`), which is how ChampSim-based studies including
    the paper's are structured, just made explicit.
 
-:class:`CacheHierarchy` also offers a direct all-levels ``access`` path
-used by the timing model.
+:class:`CacheHierarchy` is the object-based reference for phase 1: its
+per-access ``access`` path backs ``engine="reference"`` filtering, the
+fast filter's mixed-line-size fallback, and the single-core timing
+oracle in :mod:`repro.conformance.single_core`.  The timing model itself
+(:class:`~repro.cpu.system.SingleCoreSystem`) never steps it: it reads
+each source access's service level from :attr:`LLCStream.levels`.
 """
 
 from __future__ import annotations
@@ -35,8 +39,12 @@ class LLCStream:
 
     Column-wise like :class:`~repro.traces.trace.Trace`.  ``kinds`` holds
     :class:`AccessType` values encoded as 0=LOAD, 1=STORE, 2=WRITEBACK.
-    ``upper_hits`` counts demand accesses absorbed by L1/L2 (needed by
-    the timing model to reconstruct total latency).
+    ``l1_hits``/``l2_hits`` count demand accesses absorbed by L1/L2.
+    ``levels``, when the stream was built by a filter, holds one entry
+    per *source* access: the level that served it (0=L1 hit, 1=L2 hit,
+    2=reached the LLC) — what the timing model needs to reconstruct
+    each access's latency.  Streams synthesised directly at the LLC
+    leave it None.
     """
 
     name: str
@@ -50,10 +58,15 @@ class LLCStream:
     l1_hits: int
     l2_hits: int
     metadata: dict = field(default_factory=dict)
+    levels: np.ndarray | None = None
 
     KIND_LOAD = 0
     KIND_STORE = 1
     KIND_WRITEBACK = 2
+
+    LEVEL_L1 = 0
+    LEVEL_L2 = 1
+    LEVEL_LLC = 2
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -105,6 +118,15 @@ class _StreamRecorder:
         self.addresses.append(address)
         self.kinds.append(kind)
         self.cores.append(core)
+
+
+#: ``CacheHierarchy.access`` result -> :attr:`LLCStream.levels` code.
+_SERVICE_LEVEL = {
+    "l1": LLCStream.LEVEL_L1,
+    "l2": LLCStream.LEVEL_L2,
+    "llc": LLCStream.LEVEL_LLC,
+    "dram": LLCStream.LEVEL_LLC,
+}
 
 
 class CacheHierarchy:
@@ -189,8 +211,10 @@ class CacheHierarchy:
         if record_llc_stream:
             self._recorder = _StreamRecorder()
         pcs, addresses, writes = trace.pcs, trace.addresses, trace.is_write
+        levels = bytearray(len(pcs))
         for i in range(len(pcs)):
-            self.access(int(pcs[i]), int(addresses[i]), bool(writes[i]))
+            served = self.access(int(pcs[i]), int(addresses[i]), bool(writes[i]))
+            levels[i] = _SERVICE_LEVEL[served]
         self.publish_metrics(benchmark=trace.name)
         if not record_llc_stream:
             return None
@@ -208,6 +232,7 @@ class CacheHierarchy:
             l1_hits=self.l1.stats.demand_hits,
             l2_hits=self.l2.stats.demand_hits,
             metadata=dict(trace.metadata),
+            levels=np.frombuffer(levels, dtype=np.int8),
         )
         return stream
 

@@ -12,7 +12,9 @@ trustworthy together: this package continuously proves they agree.
   brute-force MIN.
 * :mod:`~repro.conformance.invariants` — runtime invariant checkers
   (occupancy conservation, RRPV bounds, ISVM saturation, OPTgen
-  occupancy vector) attachable to any run.
+  occupancy vector, core/DRAM timing) attachable to any run.
+* :mod:`~repro.conformance.single_core` — the per-access single-core
+  timing oracle that the three-pass ``SingleCoreSystem`` must match.
 * :mod:`~repro.conformance.shrink` — ddmin delta-debugging of failing
   traces to near-minimal repros.
 * :mod:`~repro.conformance.corpus` — the checked-in regression corpus
@@ -28,8 +30,14 @@ from .differential import CaseResult, Divergence, cross_validate_optgen, run_cas
 from .fuzzer import FuzzConfig, FuzzReport, fuzz, parse_budget
 from .generators import GENERATOR_FAMILIES, CaseSpec, generate_stream, spec_config
 from .ingest_roundtrip import IngestRoundtripResult, run_roundtrip_case
-from .invariants import InvariantViolation, checked_replay, run_all_checks
+from .invariants import (
+    InvariantViolation,
+    checked_replay,
+    checked_single_core,
+    run_all_checks,
+)
 from .shrink import ShrinkResult, failure_predicate, shrink_stream, take
+from .single_core import reference_single_core
 
 __all__ = [
     "CaseResult",
@@ -42,11 +50,13 @@ __all__ = [
     "InvariantViolation",
     "ShrinkResult",
     "checked_replay",
+    "checked_single_core",
     "cross_validate_optgen",
     "failure_predicate",
     "fuzz",
     "generate_stream",
     "parse_budget",
+    "reference_single_core",
     "run_all_checks",
     "run_case",
     "run_roundtrip_case",

@@ -18,21 +18,28 @@ invariant is broken:
 * **OPTgen occupancy vector** — every entry is within ``[0, capacity]``
   (entries are only claimed while strictly below capacity), the vector
   never outgrows the configured window, and hit/miss counters tie out
-  with the time base.
+  with the time base;
+* **timing** — on a single-core run, the core's cycle count never
+  decreases, DRAM bus reservations never overlap, IPC stays within the
+  issue width, and the retired instructions are exactly the trace's.
 
 :func:`checked_replay` runs the reference engine over a stream with all
 applicable checkers firing every ``every`` accesses (and once at the
 end), so any run — a fuzz case, a corpus replay, a paper experiment —
-can be executed under supervision by swapping one call.
+can be executed under supervision by swapping one call;
+:func:`checked_single_core` does the same for the timing model.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from ..cache.cache import SetAssociativeCache
-from ..cache.config import CacheConfig
+from ..cache.config import CacheConfig, HierarchyConfig
 from ..cache.stats import CacheStats
+from ..cpu.system import SingleCoreSystem, SystemResult
+from ..cpu.timing import CoreTimingState, DramBus
 from ..optgen.optgen import OptGen, SetOptGen
 from ..policies.rrip import RRPV_KEY
 
@@ -42,7 +49,9 @@ __all__ = [
     "check_isvm_saturation",
     "check_optgen_vector",
     "check_rrpv_bounds",
+    "check_timing_result",
     "checked_replay",
+    "checked_single_core",
     "run_all_checks",
 ]
 
@@ -214,3 +223,111 @@ def checked_replay(
             run_all_checks(llc)
     run_all_checks(llc)
     return llc.stats
+
+
+# -- timing model -------------------------------------------------------------
+
+
+class _MonotoneCore(CoreTimingState):
+    """Core timing that raises if its cycle count ever moves backwards."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._seen = self.cycle
+        self._issues = 0
+
+    def _check(self, step: str) -> None:
+        if self.cycle < self._seen:
+            raise InvariantViolation(
+                f"cycle went back from {self._seen} to {self.cycle} in "
+                f"{step} after {self._issues} issues",
+                invariant="timing-cycles-monotone",
+                context={"before": self._seen, "after": self.cycle, "step": step},
+            )
+        self._seen = self.cycle
+
+    def advance_compute(self, instructions: float) -> None:
+        super().advance_compute(instructions)
+        self._check("advance_compute")
+
+    def issue_memory_access(self, latency: float, instructions_per_access: float) -> None:
+        super().issue_memory_access(latency, instructions_per_access)
+        self._issues += 1
+        self._check("issue_memory_access")
+
+    def drain(self) -> None:
+        super().drain()
+        self._check("drain")
+
+
+class _ExclusiveBus(DramBus):
+    """DRAM bus that raises if two line transfers ever share the bus.
+
+    Each request reserves ``[end - occupancy, end)``, where ``end`` is
+    the bus's next free time after the request; a reservation may not
+    start before the previous one ended, nor before it was requested.
+    """
+
+    def __init__(self, config) -> None:
+        super().__init__(config)
+        self._last_end = 0.0
+
+    def request(self, now: float) -> float:
+        done = super().request(now)
+        end = self._free_at
+        start = end - self.config.cycles_per_line()
+        slack = 1e-9 * max(1.0, abs(end))
+        if start < self._last_end - slack or start < now - slack:
+            raise InvariantViolation(
+                f"DRAM transfer {self.transfers} reserves [{start}, {end}) "
+                f"but the bus is busy until {self._last_end} (requested at {now})",
+                invariant="dram-reservation-overlap",
+                context={"start": start, "end": end, "busy_until": self._last_end},
+            )
+        self._last_end = end
+        return done
+
+
+def check_timing_result(result: SystemResult, trace, width: int) -> None:
+    """IPC within the issue width; every instruction of the trace retired.
+
+    Each access retires ``max(0, ipa - 1)`` compute instructions plus
+    the access itself, so the total is ``len(trace) * max(1, ipa)`` —
+    ``len(trace) * ipa`` for any trace with at least one instruction
+    per access.
+    """
+    if result.ipc > width:
+        raise InvariantViolation(
+            f"{result.name}: IPC {result.ipc} exceeds the issue width {width}",
+            invariant="timing-ipc-bound",
+            context={"ipc": result.ipc, "width": width},
+        )
+    expected = len(trace) * max(1.0, trace.instructions_per_access)
+    if not math.isclose(result.instructions, expected, rel_tol=1e-9):
+        raise InvariantViolation(
+            f"{result.name}: retired {result.instructions} instructions, "
+            f"trace has {expected}",
+            invariant="timing-instructions",
+            context={"retired": result.instructions, "expected": expected},
+        )
+
+
+def checked_single_core(
+    config: HierarchyConfig,
+    policy,
+    trace,
+    width: int = 4,
+    rob_entries: int = 128,
+) -> SystemResult:
+    """:class:`SingleCoreSystem` run with every timing invariant checked.
+
+    Swaps the system's core and DRAM bus for self-checking subclasses
+    (same arithmetic, so the result is unchanged), then checks the
+    result against the trace.
+    """
+    system = SingleCoreSystem(config, policy, width=width, rob_entries=rob_entries)
+    system.core = _MonotoneCore(width=width, rob_entries=rob_entries)
+    system.dram = _ExclusiveBus(config.dram)
+    result = system.run(trace)
+    check_timing_result(result, trace, width)
+    return result

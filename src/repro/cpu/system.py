@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..cache import fastsim
 from ..cache.block import AccessType, CacheRequest
 from ..cache.cache import SetAssociativeCache
 from ..cache.config import HierarchyConfig, scaled_hierarchy
-from ..cache.hierarchy import LLCStream
+from ..cache.hierarchy import LLCStream, filter_to_llc_stream
 from ..cache.policy import ReplacementPolicy
 from ..policies.lru import LRUPolicy
 from ..traces.trace import Trace
@@ -48,37 +49,44 @@ class SystemResult:
 
 
 class SingleCoreSystem:
-    """One core, private three-level hierarchy, DRAM bus."""
+    """One core, private three-level hierarchy, DRAM bus.
+
+    ``llc_policy`` is a registry name (``"lru"`` by default) or a
+    policy instance; it reaches :func:`repro.cache.fastsim.replay`
+    unchanged, so a name takes the policy's fast kernel when it has one
+    and an instance keeps the engine rules documented there.
+
+    :meth:`run` is three passes, exact because timing never feeds back
+    into cache state and the LRU L1/L2 never see the LLC policy: the
+    L1/L2 filter records the LLC stream plus each access's service
+    level, the LLC policy replays that stream (recording hit or miss
+    per access), and one loop over the levels drives the core and DRAM
+    timing.  :func:`repro.conformance.single_core.reference_single_core`
+    is the per-access oracle it must match exactly.
+    """
 
     def __init__(
         self,
         config: HierarchyConfig | None = None,
-        llc_policy: ReplacementPolicy | None = None,
+        llc_policy: ReplacementPolicy | str | None = None,
         width: int = 4,
         rob_entries: int = 128,
     ) -> None:
-        from ..cache.hierarchy import CacheHierarchy
-
         self.config = config or scaled_hierarchy()
-        self.hierarchy = CacheHierarchy(self.config, llc_policy)
+        self.llc_policy = llc_policy if llc_policy is not None else "lru"
         self.dram = DramBus(self.config.dram)
         self.core = CoreTimingState(width=width, rob_entries=rob_entries)
 
     def run(self, trace: Trace) -> SystemResult:
-        ipa = trace.instructions_per_access
-        compute_per_access = max(0.0, ipa - 1.0)
-        pcs, addresses, writes = trace.pcs, trace.addresses, trace.is_write
-        for i in range(len(pcs)):
-            self.core.advance_compute(compute_per_access)
-            level = self.hierarchy.access(int(pcs[i]), int(addresses[i]), bool(writes[i]))
-            if level == "dram":
-                done = self.dram.request(self.core.cycle)
-                latency = level_latency(self.config, "llc") + (done - self.core.cycle)
-            else:
-                latency = level_latency(self.config, level)
-            self.core.issue_memory_access(latency, ipa)
-        self.core.drain()
-        llc = self.hierarchy.llc.stats
+        stream = filter_to_llc_stream(trace, self.config)
+        events: list = []
+        llc = fastsim.replay(stream, self.llc_policy, self.config, record=events)
+        demand_hits = [
+            event[0]
+            for event, kind in zip(events, stream.kinds.tolist())
+            if kind != LLCStream.KIND_WRITEBACK
+        ]
+        self._timing_pass(trace.instructions_per_access, stream.levels, demand_hits)
         return SystemResult(
             name=trace.name,
             cycles=self.core.cycle,
@@ -86,6 +94,29 @@ class SingleCoreSystem:
             llc_demand_accesses=llc.demand_accesses,
             llc_demand_misses=llc.demand_misses,
         )
+
+    def _timing_pass(self, ipa: float, levels, demand_hits: list[int]) -> None:
+        """Issue every access with the latency of the level that served it.
+
+        ``demand_hits`` holds one LLC hit bit per access that reached the
+        LLC, in order; a miss also reserves the DRAM bus.
+        """
+        core, dram, config = self.core, self.dram, self.config
+        compute_per_access = max(0.0, ipa - 1.0)
+        upper = (level_latency(config, "l1"), level_latency(config, "l2"))
+        llc_latency = level_latency(config, "llc")
+        hits = iter(demand_hits)
+        for level in levels.tolist():
+            core.advance_compute(compute_per_access)
+            if level != LLCStream.LEVEL_LLC:
+                latency = upper[level]
+            elif next(hits):
+                latency = llc_latency
+            else:
+                done = dram.request(core.cycle)
+                latency = llc_latency + (done - core.cycle)
+            core.issue_memory_access(latency, ipa)
+        core.drain()
 
 
 @dataclass

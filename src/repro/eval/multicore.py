@@ -73,7 +73,7 @@ def _single_ipc(
     benchmark: str, *, cache: ArtifactCache, cores: int
 ) -> tuple[str, float]:
     """One benchmark alone on the shared-size cache (pool-worker safe)."""
-    system = SingleCoreSystem(cache.config.hierarchy(cores=cores), make_policy("lru"))
+    system = SingleCoreSystem(cache.config.hierarchy(cores=cores), "lru")
     return benchmark, system.run(cache.trace(benchmark)).ipc
 
 

@@ -104,6 +104,7 @@ def _stream_to_arrays(stream: LLCStream) -> tuple[dict, dict]:
         "addresses": stream.addresses,
         "kinds": stream.kinds,
         "cores": stream.cores,
+        "levels": stream.levels,
     }
     meta = {
         "name": stream.name,
@@ -117,7 +118,11 @@ def _stream_to_arrays(stream: LLCStream) -> tuple[dict, dict]:
     return arrays, meta
 
 
-def _stream_from_arrays(arrays: dict, meta: dict) -> LLCStream:
+def _stream_from_arrays(arrays: dict, meta: dict) -> LLCStream | None:
+    """Rebuild a stored stream; None (a miss, so the caller regenerates)
+    for an entry written before streams carried ``levels``."""
+    if "levels" not in arrays:
+        return None
     return LLCStream(
         name=meta["name"],
         pcs=arrays["pcs"],
@@ -130,6 +135,7 @@ def _stream_from_arrays(arrays: dict, meta: dict) -> LLCStream:
         l1_hits=int(meta["l1_hits"]),
         l2_hits=int(meta["l2_hits"]),
         metadata=meta.get("metadata", {}),
+        levels=arrays["levels"],
     )
 
 
@@ -195,18 +201,16 @@ class ArtifactCache:
             return self._streams[benchmark]
         digest = self.config.digest()
         if self.store is not None:
-            cached = self.store.get(benchmark, "llc_stream", digest)
-            if cached is not None:
-                self._streams[benchmark] = _stream_from_arrays(*cached)
-                return self._streams[benchmark]
+            stream = self._stored_stream(benchmark, digest)
+            if stream is not None:
+                return stream
             # Cross-process dedup: when another worker is already filtering
             # this stream, wait for its artifact instead of recomputing.
             with self.store.single_flight(benchmark, "llc_stream", digest) as owner:
                 if not owner:
-                    cached = self.store.get(benchmark, "llc_stream", digest)
-                    if cached is not None:
-                        self._streams[benchmark] = _stream_from_arrays(*cached)
-                        return self._streams[benchmark]
+                    stream = self._stored_stream(benchmark, digest)
+                    if stream is not None:
+                        return stream
                 stream = filter_to_llc_stream(
                     self.trace(benchmark), self.config.hierarchy()
                 )
@@ -216,6 +220,13 @@ class ArtifactCache:
             return stream
         stream = filter_to_llc_stream(self.trace(benchmark), self.config.hierarchy())
         self._streams[benchmark] = stream
+        return stream
+
+    def _stored_stream(self, benchmark: str, digest: str) -> LLCStream | None:
+        cached = self.store.get(benchmark, "llc_stream", digest)
+        stream = _stream_from_arrays(*cached) if cached is not None else None
+        if stream is not None:
+            self._streams[benchmark] = stream
         return stream
 
     def labelled(self, benchmark: str) -> LabelledTrace:

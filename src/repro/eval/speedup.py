@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from ..cpu.system import SingleCoreSystem
 from ..perf.parallel import RunContext
-from ..policies.registry import make_policy
 from ..traces.suite import suite_group
 from .missrate import CONTENDERS
 from .runner import DEFAULT, ArtifactCache, ExperimentConfig
@@ -38,14 +37,19 @@ class SpeedupResult:
 def _speedup_benchmark(
     benchmark: str, *, cache: ArtifactCache, policies: tuple[str, ...]
 ) -> SpeedupResult:
-    """One Figure 12 row (module-level so it pickles into pool workers;
-    timing runs consume the raw trace, not the cached LLC stream)."""
+    """One Figure 12 row (module-level so it pickles into pool workers).
+
+    Each timing run filters the trace itself, since the timing pass
+    needs every access's service level, and replays the LLC stream on
+    the policy's kernel: policies go by registry name, so the learned
+    ones (Hawkeye, SHiP++, Glider) take their fast kernels.
+    """
     config = cache.config
     trace = cache.trace(benchmark)
-    lru = SingleCoreSystem(config.hierarchy(), make_policy("lru")).run(trace)
+    lru = SingleCoreSystem(config.hierarchy(), "lru").run(trace)
     ipcs: dict[str, float] = {}
     for policy in policies:
-        result = SingleCoreSystem(config.hierarchy(), make_policy(policy)).run(trace)
+        result = SingleCoreSystem(config.hierarchy(), policy).run(trace)
         ipcs[policy] = result.ipc
     try:
         group = suite_group(benchmark)

@@ -294,6 +294,8 @@ def test_fast_filter_matches_reference(trace):
     assert np.array_equal(ref.cores, fast.cores)
     assert ref.l1_hits == fast.l1_hits
     assert ref.l2_hits == fast.l2_hits
+    assert np.array_equal(ref.levels, fast.levels)
+    assert len(fast.levels) == len(trace)
     assert ref.source_accesses == fast.source_accesses
     assert ref.source_instructions == fast.source_instructions
 
@@ -312,3 +314,4 @@ def test_fast_filter_falls_back_on_mixed_line_sizes():
     auto = filter_to_llc_stream(trace, config, engine="auto")
     assert np.array_equal(ref.addresses, auto.addresses)
     assert np.array_equal(ref.kinds, auto.kinds)
+    assert np.array_equal(ref.levels, auto.levels)

@@ -29,6 +29,7 @@ def test_store_round_trips_stream_and_labels(tmp_path):
     assert np.array_equal(stream.pcs, stream2.pcs)
     assert np.array_equal(stream.kinds, stream2.kinds)
     assert stream.l1_hits == stream2.l1_hits
+    assert np.array_equal(stream.levels, stream2.levels)
     assert np.array_equal(labelled.labels, labelled2.labels)
     assert np.array_equal(labelled.vocabulary, labelled2.vocabulary)
     assert second.store.stats.hits == 2
@@ -46,6 +47,20 @@ def test_second_run_does_not_recompute(tmp_path, monkeypatch):
     resumed = ArtifactCache(CFG, store=store)
     assert len(resumed.llc_stream("mcf")) > 0
     assert len(resumed.labelled("mcf")) > 0
+
+
+def test_stream_entry_without_levels_regenerates(tmp_path):
+    """An entry stored before streams carried service levels is a miss:
+    the stream is refiltered (levels included) and the entry rewritten."""
+    store = ArtifactStore(tmp_path / "store")
+    original = ArtifactCache(CFG).llc_stream("mcf")
+    arrays, meta = runner_module._stream_to_arrays(original)
+    del arrays["levels"]
+    store.put("mcf", "llc_stream", CFG.digest(), arrays, meta)
+
+    regenerated = ArtifactCache(CFG, store=store).llc_stream("mcf")
+    assert np.array_equal(regenerated.levels, original.levels)
+    assert "levels" in store.get("mcf", "llc_stream", CFG.digest())[0]
 
 
 def test_corrupt_store_entry_regenerates_transparently(tmp_path):

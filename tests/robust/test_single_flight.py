@@ -8,6 +8,7 @@ for the same artifact key through a ProcessPoolExecutor).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,9 +22,12 @@ KEY = ("mcf", "llc_stream", "deadbeef0000")
 
 def _flight_worker(args) -> tuple[str, bool]:
     """Race for the artifact: the owner computes (slowly), the follower
-    waits and must find the owner's artifact already on disk."""
-    root, delay = args
+    waits and must find the owner's artifact already on disk.  Both
+    workers meet at ``start`` first, so a worker process that starts
+    late cannot find the lock already released and lead a second time."""
+    root, delay, start = args
     store = ArtifactStore(root)
+    start.wait(timeout=60)
     with store.single_flight(*KEY, poll_interval=0.01) as owner:
         if owner:
             time.sleep(delay)
@@ -35,8 +39,12 @@ def _flight_worker(args) -> tuple[str, bool]:
 def test_two_processes_one_computes_one_follows(tmp_path):
     root = str(tmp_path / "store")
     ArtifactStore(root)  # create the directory before the race
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(_flight_worker, [(root, 0.3), (root, 0.3)]))
+    with multiprocessing.Manager() as manager:
+        start = manager.Barrier(2)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            results = list(
+                pool.map(_flight_worker, [(root, 0.3, start), (root, 0.3, start)])
+            )
     roles = sorted(role for role, _ in results)
     assert roles == ["followed", "led"]
     assert all(found for _, found in results)
