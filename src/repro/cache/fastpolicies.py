@@ -42,8 +42,7 @@ from .config import CacheConfig
 from .stats import CacheStats
 
 __all__ = [
-    "_decode_stream",
-    "_finish_stats",
+    "_StreamKernel",
     "_DRRIPKernel",
     "_ShipKernel",
     "_HawkeyeKernel",
@@ -64,17 +63,50 @@ def _decode_stream(stream, config: CacheConfig):
     return sets, tags, stream.kinds.tolist(), stream.cores.tolist()
 
 
-def _finish_stats(name, dh, dm, wh, wm, ev, dev, pch, pcm) -> CacheStats:
-    stats = CacheStats(name=name)
-    stats.demand_hits = dh
-    stats.demand_misses = dm
-    stats.writeback_hits = wh
-    stats.writeback_misses = wm
-    stats.evictions = ev
-    stats.dirty_evictions = dev
-    stats.per_core_hits = pch
-    stats.per_core_misses = pcm
-    return stats
+class _StreamKernel:
+    """The feed/step protocol every fast kernel shares.
+
+    A kernel's loop reads per-access *columns* (mostly plain-int lists)
+    that :meth:`decode` derives from a stream with vectorized NumPy; all
+    cross-access state lives in attributes.  :meth:`feed` runs the loop
+    over a whole stream.  :meth:`step` runs it over one access of a
+    stream decoded up front, for a caller that learns the access order
+    only as it goes (the multi-core interleave) and would otherwise pay
+    the per-call NumPy decode on every access.  Any in-order mix of feeds
+    and steps equals one feed of the same accesses.
+    """
+
+    def decode(self, stream) -> tuple:
+        return _decode_stream(stream, self.config)
+
+    def feed(self, stream, record=None) -> None:
+        self._run(self.decode(stream), record)
+
+    def step(self, columns: tuple, i: int, access_index: int = 0) -> bool:
+        """Access ``i`` of decoded ``columns``; returns its hit bit.
+
+        ``access_index`` is the caller's global request number; only the
+        reference engine's policies read it.
+        """
+        event: list = []
+        self._run([column[i : i + 1] for column in columns], event)
+        return event[0][0] == 1
+
+    def finish(self) -> CacheStats:
+        stats = CacheStats(name=self.config.name)
+        stats.demand_hits = self.dh
+        stats.demand_misses = self.dm
+        stats.writeback_hits = self.wh
+        stats.writeback_misses = self.wm
+        stats.evictions = self.ev
+        stats.dirty_evictions = self.dev
+        stats.per_core_hits = self.pch
+        stats.per_core_misses = self.pcm
+        return stats
+
+    @property
+    def stats(self) -> CacheStats:
+        return self.finish()
 
 
 # -- vectorized PC hashing ----------------------------------------------------
@@ -317,7 +349,7 @@ class _FlatOptGenSampler:
 # -- DRRIP --------------------------------------------------------------------
 
 
-class _DRRIPKernel:
+class _DRRIPKernel(_StreamKernel):
     """DRRIP fast kernel: RRIP substrate + leader-set duelling PSEL.
 
     All cross-access state lives in attributes, so the kernel can be
@@ -365,8 +397,11 @@ class _DRRIPKernel:
         self.pch: dict[int, int] = {}
         self.pcm: dict[int, int] = {}
 
+    def _run(self, columns, record) -> None:
+        _drrip_feed(self, columns, record)
+
     def feed(self, stream, record=None) -> None:
-        _drrip_feed(self, stream, record)
+        super().feed(stream, record)
         rec = _insight_recorder(self.config)
         if rec is not None:
             rec.record_model_state(
@@ -375,19 +410,12 @@ class _DRRIPKernel:
                 psel_fraction=self.psel / max(1, self.psel_max),
             )
 
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
-
-def _drrip_feed(kernel, stream, record) -> None:
+def _drrip_feed(kernel, columns, record) -> None:
     # Loop body is verbatim from the original one-shot kernel; only the
     # locals-load prologue / store-back epilogue differ (attrs <-> locals
     # so the hot loop keeps LOAD_FAST access).
-    sets, tags, kinds, cores = _decode_stream(stream, kernel.config)
+    sets, tags, kinds, cores = columns
     config = kernel.config
     num_sets, assoc = config.num_sets, config.associativity
     max_rrpv = kernel.max_rrpv
@@ -485,7 +513,7 @@ def _drrip_feed(kernel, stream, record) -> None:
 # -- SHiP / SHiP++ ------------------------------------------------------------
 
 
-class _ShipKernel:
+class _ShipKernel(_StreamKernel):
     """SHiP (``plus=False``) / SHiP++ fast kernel.
 
     Per-line signature is -1 outside sampled sets (the reference stores
@@ -494,8 +522,8 @@ class _ShipKernel:
     reference path (victim -> on_evict -> on_fill).
 
     Chunk-feedable: all cross-access state is attributes, the per-chunk
-    signatures are recomputed in :func:`_ship_feed` from the chunk's
-    pcs, so feeding in pieces is bit-identical to one shot.
+    signatures are computed by :meth:`decode` from the chunk's pcs,
+    so feeding in pieces is bit-identical to one shot.
     """
 
     def __init__(
@@ -530,8 +558,16 @@ class _ShipKernel:
         self.pch: dict[int, int] = {}
         self.pcm: dict[int, int] = {}
 
+    def decode(self, stream) -> tuple:
+        return _decode_stream(stream, self.config) + (
+            _ship_signatures(stream.pcs, self.signature_bits),
+        )
+
+    def _run(self, columns, record) -> None:
+        _ship_feed(self, columns, record)
+
     def feed(self, stream, record=None) -> None:
-        _ship_feed(self, stream, record)
+        super().feed(stream, record)
         rec = _insight_recorder(self.config)
         if rec is not None:
             shct = self.shct
@@ -544,22 +580,14 @@ class _ShipKernel:
                 ),
             )
 
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
-
-def _ship_feed(kernel, stream, record) -> None:
-    sets, tags, kinds, cores = _decode_stream(stream, kernel.config)
+def _ship_feed(kernel, columns, record) -> None:
+    sets, tags, kinds, cores, sigs = columns
     config = kernel.config
     num_sets, assoc = config.num_sets, config.associativity
     plus = kernel.plus
     max_rrpv = kernel.max_rrpv
     counter_max = kernel.counter_max
-    sigs = _ship_signatures(stream.pcs, kernel.signature_bits)
     sampled = kernel.sampled
     shct = kernel.shct
     tag_t = kernel.tag_t
@@ -666,7 +694,7 @@ _HAWKEYE_MAX_RRPV = 7
 _AGE_CAP = _HAWKEYE_MAX_RRPV - 1
 
 
-class _HawkeyeKernel:
+class _HawkeyeKernel(_StreamKernel):
     """Hawkeye fast kernel: sampled-set OPTgen training a counter table.
 
     Per-line state: RRPV, friendly bit, and the *predictor index* of the
@@ -677,7 +705,7 @@ class _HawkeyeKernel:
 
     Chunk-feedable: the OPTgen sampler and counter table carry across
     :func:`_hawkeye_feed` calls; per-chunk vectors (predictor indices,
-    line numbers, sampled flags) are recomputed from each chunk.
+    line numbers, sampled flags) are decoded from each chunk.
     """
 
     def __init__(
@@ -707,8 +735,19 @@ class _HawkeyeKernel:
         self.pch: dict[int, int] = {}
         self.pcm: dict[int, int] = {}
 
+    def decode(self, stream) -> tuple:
+        return _decode_stream(stream, self.config) + (
+            _hawkeye_indices(stream.pcs, self.table_bits),
+            _line_numbers(stream),
+            _sampled_flags(stream, self.sampler),
+            stream.pcs,  # read only by an installed insight recorder
+        )
+
+    def _run(self, columns, record) -> None:
+        _hawkeye_feed(self, columns, record)
+
     def feed(self, stream, record=None) -> None:
-        _hawkeye_feed(self, stream, record)
+        super().feed(stream, record)
         rec = _insight_recorder(self.config)
         if rec is not None:
             table = self.table
@@ -721,26 +760,15 @@ class _HawkeyeKernel:
                 ),
             )
 
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
-
-def _hawkeye_feed(kernel, stream, record) -> None:
-    sets, tags, kinds, cores = _decode_stream(stream, kernel.config)
+def _hawkeye_feed(kernel, columns, record) -> None:
+    sets, tags, kinds, cores, pidx, lines, samp_acc, pcs = columns
     config = kernel.config
     num_sets, assoc = config.num_sets, config.associativity
     counter_max = kernel.counter_max
-    pidx = _hawkeye_indices(stream.pcs, kernel.table_bits)
-    lines = _line_numbers(stream)
     mid = (counter_max + 1) // 2
     table = kernel.table
-    sampler = kernel.sampler
-    samp_acc = _sampled_flags(stream, sampler)
-    sampler_access = sampler.access
+    sampler_access = kernel.sampler.access
     # Insight hooks: resolved once per feed; when no recorder is
     # installed the loop pays one `is not None` test per sampled access
     # and per eviction, nothing more.
@@ -748,7 +776,6 @@ def _hawkeye_feed(kernel, stream, record) -> None:
     if rec is not None:
         rec_access = rec.on_demand_access
         rec_evict = rec.on_eviction
-        rec_pcs = stream.pcs.tolist()
         rec_tag_shift = (num_sets - 1).bit_length()
     else:
         rec_access = rec_evict = None
@@ -773,7 +800,7 @@ def _hawkeye_feed(kernel, stream, record) -> None:
                 # events train the table — the same point in training
                 # order where the reference policy snapshots its context.
                 cnt = table[pidx[i]]
-                rec_access(lines[i], rec_pcs[i], cnt >= mid, counter=cnt)
+                rec_access(lines[i], int(pcs[i]), cnt >= mid, counter=cnt)
             for tok, _ctx, label in sampler_access(lines[i], pidx[i], None):
                 c = table[tok]
                 if label:
@@ -868,7 +895,7 @@ def _hawkeye_feed(kernel, stream, record) -> None:
 # -- Glider -------------------------------------------------------------------
 
 
-class _GliderKernel:
+class _GliderKernel(_StreamKernel):
     """Glider fast kernel: ISVM over the PCHR on Hawkeye's machinery.
 
     Per-core PCHRs are parallel (raw-pc, 4-bit-hash) lists; the context
@@ -932,8 +959,24 @@ class _GliderKernel:
         self.pch: dict[int, int] = {}
         self.pcm: dict[int, int] = {}
 
+    def decode(self, stream) -> tuple:
+        eidx = (
+            (stream.pcs.astype(np.uint64) >> np.uint64(2))
+            & np.uint64((1 << self.table_bits) - 1)
+        )
+        return _decode_stream(stream, self.config) + (
+            stream.pcs.tolist(),
+            eidx.astype(np.int64).tolist(),
+            _weight_hashes(stream.pcs, self.weight_hash_bits),
+            _line_numbers(stream),
+            _sampled_flags(stream, self.sampler),
+        )
+
+    def _run(self, columns, record) -> None:
+        _glider_feed(self, columns, record)
+
     def feed(self, stream, record=None) -> None:
-        _glider_feed(self, stream, record)
+        super().feed(stream, record)
         rec = _insight_recorder(self.config)
         if rec is not None:
             from ..core.isvm import ISVM
@@ -956,15 +999,8 @@ class _GliderKernel:
                 threshold=self.threshold,
             )
 
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
-
-def _glider_feed(kernel, stream, record) -> None:
+def _glider_feed(kernel, columns, record) -> None:
     from ..core.isvm import (
         AVERSE_SUM,
         HIGH_CONFIDENCE_SUM,
@@ -973,19 +1009,13 @@ def _glider_feed(kernel, stream, record) -> None:
     )
 
     config = kernel.config
-    sets, tags, kinds, cores = _decode_stream(stream, config)
+    sets, tags, kinds, cores, pcs, eidx, whash, lines, samp_acc = columns
     num_sets, assoc = config.num_sets, config.associativity
     k = kernel.k
-    table_bits = kernel.table_bits
     adaptive = kernel.adaptive
     adapt_interval = kernel.adapt_interval
     detrain = kernel.detrain
     confidence_insertion = kernel.confidence_insertion
-    pcs = stream.pcs.tolist()
-    eidx = ((stream.pcs.astype(np.uint64) >> np.uint64(2))
-            & np.uint64((1 << table_bits) - 1)).astype(np.int64).tolist()
-    whash = _weight_hashes(stream.pcs, kernel.weight_hash_bits)
-    lines = _line_numbers(stream)
     weights = kernel.weights
     wmin, wmax = ISVM.WEIGHT_MIN, ISVM.WEIGHT_MAX
     # The adaptive-threshold window lives in feed-locals (train() binds
@@ -1031,7 +1061,6 @@ def _glider_feed(kernel, stream, record) -> None:
             hc_cut = min(HIGH_CONFIDENCE_SUM, max(1, threshold))
 
     sampler = kernel.sampler
-    samp_acc = _sampled_flags(stream, sampler)
     # Insight hooks: one `is not None` test per sampled access and per
     # eviction when disabled.
     rec = _insight_recorder(config)

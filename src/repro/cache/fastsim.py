@@ -50,14 +50,15 @@ from ..obs import instrument as obs_instrument
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..policies.registry import make_policy, policy_specs, spec_for_instance
+from .block import AccessType, CacheRequest
 from .config import CacheConfig, HierarchyConfig, scaled_hierarchy
 from .fastpolicies import (
     _decode_stream,
     _DRRIPKernel,
-    _finish_stats,
     _GliderKernel,
     _HawkeyeKernel,
     _ShipKernel,
+    _StreamKernel,
 )
 from .stats import CacheStats
 
@@ -165,11 +166,12 @@ def _llc_config(config) -> CacheConfig:
 
 
 # -- fast kernels -------------------------------------------------------------
-# (_decode_stream and _finish_stats live in fastpolicies and are shared
-# by the stateless kernels below and the learned-policy kernels there.)
+# (_StreamKernel, the feed/step protocol, lives in fastpolicies and is
+# shared by the stateless kernels below and the learned-policy kernels
+# there.)
 
 
-class _RecencyKernel:
+class _RecencyKernel(_StreamKernel):
     """LRU (``newest=False``) / MRU (``newest=True``) fast kernel.
 
     Like every kernel class in this module and
@@ -193,20 +195,13 @@ class _RecencyKernel:
         self.pch: dict[int, int] = {}
         self.pcm: dict[int, int] = {}
 
-    def feed(self, stream, record=None) -> None:
-        _recency_feed(self, stream, record)
-
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
+    def _run(self, columns, record) -> None:
+        _recency_feed(self, columns, record)
 
 
-def _recency_feed(kernel, stream, record) -> None:
+def _recency_feed(kernel, columns, record) -> None:
     config = kernel.config
-    sets, tags, kinds, cores = _decode_stream(stream, config)
+    sets, tags, kinds, cores = columns
     num_sets, assoc = config.num_sets, config.associativity
     newest = kernel.newest
     tag_t = kernel.tag_t
@@ -265,7 +260,7 @@ def _recency_feed(kernel, stream, record) -> None:
     kernel.ev, kernel.dev, kernel.counter = ev, dev, counter
 
 
-class _RandomKernel:
+class _RandomKernel(_StreamKernel):
     """Random-victim fast kernel (reference RNG draw sequence preserved).
 
     The RNG and its refill buffer are attributes: a pickled kernel
@@ -288,20 +283,13 @@ class _RandomKernel:
         self.pch: dict[int, int] = {}
         self.pcm: dict[int, int] = {}
 
-    def feed(self, stream, record=None) -> None:
-        _random_feed(self, stream, record)
-
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
+    def _run(self, columns, record) -> None:
+        _random_feed(self, columns, record)
 
 
-def _random_feed(kernel, stream, record) -> None:
+def _random_feed(kernel, columns, record) -> None:
     config = kernel.config
-    sets, tags, kinds, cores = _decode_stream(stream, config)
+    sets, tags, kinds, cores = columns
     num_sets, assoc = config.num_sets, config.associativity
     tag_t = kernel.tag_t
     dirty_t = kernel.dirty_t
@@ -363,7 +351,7 @@ def _random_feed(kernel, stream, record) -> None:
     )
 
 
-class _RRIPKernel:
+class _RRIPKernel(_StreamKernel):
     """SRRIP (``long_prob=None``) / BRRIP fast kernel (chunk-feedable)."""
 
     def __init__(self, config: CacheConfig, max_rrpv: int, long_prob, seed: int) -> None:
@@ -382,20 +370,13 @@ class _RRIPKernel:
         self.pch: dict[int, int] = {}
         self.pcm: dict[int, int] = {}
 
-    def feed(self, stream, record=None) -> None:
-        _rrip_feed(self, stream, record)
-
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
+    def _run(self, columns, record) -> None:
+        _rrip_feed(self, columns, record)
 
 
-def _rrip_feed(kernel, stream, record) -> None:
+def _rrip_feed(kernel, columns, record) -> None:
     config = kernel.config
-    sets, tags, kinds, cores = _decode_stream(stream, config)
+    sets, tags, kinds, cores = columns
     num_sets, assoc = config.num_sets, config.associativity
     max_rrpv = kernel.max_rrpv
     long_prob = kernel.long_prob
@@ -488,15 +469,22 @@ _STREAM_KERNELS = {
 }
 
 
+#: LLCStream kind code -> the reference engine's access type.
+_ACCESS_TYPES = (AccessType.LOAD, AccessType.STORE, AccessType.WRITEBACK)
+
+
 class _ReferenceKernel:
     """Chunk-feedable wrapper around the reference object engine.
 
     The reference side of every replay: :func:`reference_replay` feeds
-    it the whole stream, the streaming path feeds it chunks.  A running
-    ``access_index`` carries across chunks so requests are numbered
-    exactly as :meth:`LLCStream.requests` would number them in one shot;
-    the wrapped cache and policy are plain attribute state, so the
-    kernel pickles for checkpointing whenever the policy itself does.
+    it the whole stream, the streaming path feeds it chunks, and the
+    multi-core interleave steps it (the :class:`_StreamKernel` protocol,
+    with plain columns).  A running ``access_index`` carries across
+    chunks so requests are numbered exactly as
+    :meth:`LLCStream.requests` would number them in one shot; a step
+    takes its number from the caller.  The wrapped cache and policy are
+    plain attribute state, so the kernel pickles for checkpointing
+    whenever the policy itself does.
     """
 
     def __init__(self, policy, config) -> None:
@@ -507,27 +495,19 @@ class _ReferenceKernel:
         self.llc = SetAssociativeCache(_llc_config(config), policy)
         self.access_index = 0
 
-    def feed(self, stream, record=None) -> None:
-        from .block import AccessType, CacheRequest
+    def decode(self, stream) -> tuple:
+        return (
+            stream.pcs.tolist(),
+            stream.addresses.tolist(),
+            stream.kinds.tolist(),
+            stream.cores.tolist(),
+        )
 
-        kind_map = {0: AccessType.LOAD, 1: AccessType.STORE, 2: AccessType.WRITEBACK}
-        llc = self.llc
-        index = self.access_index
-        pcs = stream.pcs
-        addresses = stream.addresses
-        kinds = stream.kinds
-        cores = stream.cores
-        for i in range(len(pcs)):
-            result = llc.access(
-                CacheRequest(
-                    pc=int(pcs[i]),
-                    address=int(addresses[i]),
-                    access_type=kind_map[int(kinds[i])],
-                    core=int(cores[i]),
-                    access_index=index,
-                )
-            )
-            index += 1
+    def feed(self, stream, record=None) -> None:
+        columns = self.decode(stream)
+        for i in range(len(columns[0])):
+            result = self._access(columns, i, self.access_index)
+            self.access_index += 1
             if record is not None:
                 record.append(
                     (
@@ -538,9 +518,27 @@ class _ReferenceKernel:
                         int(result.evicted_dirty),
                     )
                 )
-        self.access_index = index
+
+    def step(self, columns: tuple, i: int, access_index: int = 0) -> bool:
+        return self._access(columns, i, access_index).hit
+
+    def _access(self, columns: tuple, i: int, access_index: int):
+        pcs, addresses, kinds, cores = columns
+        return self.llc.access(
+            CacheRequest(
+                pc=pcs[i],
+                address=addresses[i],
+                access_type=_ACCESS_TYPES[kinds[i]],
+                core=cores[i],
+                access_index=access_index,
+            )
+        )
 
     def finish(self) -> CacheStats:
+        return self.llc.stats
+
+    @property
+    def stats(self) -> CacheStats:
         return self.llc.stats
 
 
@@ -552,7 +550,9 @@ def make_stream_kernel(policy, config=None, engine: str = "auto"):
     ``pcs``/``addresses``/``kinds``/``cores`` columns
     (:class:`StreamChunk` or a full ``LLCStream``).  Feeding a stream
     in any chunking produces bit-identical stats to a one-shot
-    :func:`replay` of the same accesses.  ``engine`` follows
+    :func:`replay` of the same accesses, and so does stepping it one
+    access at a time (``decode(stream)`` once, then ``step(columns, i,
+    access_index) -> hit`` per access).  ``engine`` follows
     :func:`replay`: ``"auto"`` picks the fast kernel when one exists,
     ``"reference"`` forces the object engine, ``"fast"`` raises for
     unsupported policies.

@@ -14,8 +14,9 @@ Replacement-policy studies follow a two-phase methodology:
 :class:`CacheHierarchy` is the object-based reference for phase 1: its
 per-access ``access`` path backs ``engine="reference"`` filtering, the
 fast filter's mixed-line-size fallback, and the single-core timing
-oracle in :mod:`repro.conformance.single_core`.  The timing model itself
-(:class:`~repro.cpu.system.SingleCoreSystem`) never steps it: it reads
+oracle in :mod:`repro.conformance.single_core`.  The timing models
+themselves (:class:`~repro.cpu.system.SingleCoreSystem` and
+:class:`~repro.cpu.system.MultiCoreSystem`) never step it: they read
 each source access's service level from :attr:`LLCStream.levels`.
 """
 

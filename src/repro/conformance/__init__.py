@@ -15,6 +15,8 @@ trustworthy together: this package continuously proves they agree.
   occupancy vector, core/DRAM timing) attachable to any run.
 * :mod:`~repro.conformance.single_core` — the per-access single-core
   timing oracle that the three-pass ``SingleCoreSystem`` must match.
+* :mod:`~repro.conformance.multi_core` — the per-access multi-core
+  timing oracle that the filter-once ``MultiCoreSystem`` must match.
 * :mod:`~repro.conformance.shrink` — ddmin delta-debugging of failing
   traces to near-minimal repros.
 * :mod:`~repro.conformance.corpus` — the checked-in regression corpus
@@ -32,10 +34,12 @@ from .generators import GENERATOR_FAMILIES, CaseSpec, generate_stream, spec_conf
 from .ingest_roundtrip import IngestRoundtripResult, run_roundtrip_case
 from .invariants import (
     InvariantViolation,
+    checked_multi_core,
     checked_replay,
     checked_single_core,
     run_all_checks,
 )
+from .multi_core import reference_multi_core
 from .shrink import ShrinkResult, failure_predicate, shrink_stream, take
 from .single_core import reference_single_core
 
@@ -49,6 +53,7 @@ __all__ = [
     "IngestRoundtripResult",
     "InvariantViolation",
     "ShrinkResult",
+    "checked_multi_core",
     "checked_replay",
     "checked_single_core",
     "cross_validate_optgen",
@@ -56,6 +61,7 @@ __all__ = [
     "fuzz",
     "generate_stream",
     "parse_budget",
+    "reference_multi_core",
     "reference_single_core",
     "run_all_checks",
     "run_case",

@@ -19,15 +19,17 @@ invariant is broken:
   (entries are only claimed while strictly below capacity), the vector
   never outgrows the configured window, and hit/miss counters tie out
   with the time base;
-* **timing** — on a single-core run, the core's cycle count never
-  decreases, DRAM bus reservations never overlap, IPC stays within the
-  issue width, and the retired instructions are exactly the trace's.
+* **timing** — on a single- or multi-core run, each core's cycle
+  count never decreases, DRAM bus reservations never overlap, IPC stays
+  within the issue width, and each core retires exactly the
+  instructions of the accesses it issued.
 
 :func:`checked_replay` runs the reference engine over a stream with all
 applicable checkers firing every ``every`` accesses (and once at the
 end), so any run — a fuzz case, a corpus replay, a paper experiment —
 can be executed under supervision by swapping one call;
-:func:`checked_single_core` does the same for the timing model.
+:func:`checked_single_core` and :func:`checked_multi_core` do the same
+for the timing model.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Iterable
 from ..cache.cache import SetAssociativeCache
 from ..cache.config import CacheConfig, HierarchyConfig
 from ..cache.stats import CacheStats
-from ..cpu.system import SingleCoreSystem, SystemResult
+from ..cpu.system import MultiCoreSystem, SingleCoreSystem, SystemResult
 from ..cpu.timing import CoreTimingState, DramBus
 from ..optgen.optgen import OptGen, SetOptGen
 from ..policies.rrip import RRPV_KEY
@@ -50,6 +52,7 @@ __all__ = [
     "check_optgen_vector",
     "check_rrpv_bounds",
     "check_timing_result",
+    "checked_multi_core",
     "checked_replay",
     "checked_single_core",
     "run_all_checks",
@@ -296,19 +299,27 @@ def check_timing_result(result: SystemResult, trace, width: int) -> None:
     ``len(trace) * ipa`` for any trace with at least one instruction
     per access.
     """
-    if result.ipc > width:
+    _check_retired(
+        result.name, result.ipc, result.instructions, len(trace),
+        trace.instructions_per_access, width,
+    )
+
+
+def _check_retired(
+    name: str, ipc: float, retired: float, accesses: int, ipa: float, width: int
+) -> None:
+    if ipc > width:
         raise InvariantViolation(
-            f"{result.name}: IPC {result.ipc} exceeds the issue width {width}",
+            f"{name}: IPC {ipc} exceeds the issue width {width}",
             invariant="timing-ipc-bound",
-            context={"ipc": result.ipc, "width": width},
+            context={"ipc": ipc, "width": width},
         )
-    expected = len(trace) * max(1.0, trace.instructions_per_access)
-    if not math.isclose(result.instructions, expected, rel_tol=1e-9):
+    expected = accesses * max(1.0, ipa)
+    if not math.isclose(retired, expected, rel_tol=1e-9):
         raise InvariantViolation(
-            f"{result.name}: retired {result.instructions} instructions, "
-            f"trace has {expected}",
+            f"{name}: retired {retired} instructions, its accesses carry {expected}",
             invariant="timing-instructions",
-            context={"retired": result.instructions, "expected": expected},
+            context={"retired": retired, "expected": expected},
         )
 
 
@@ -330,4 +341,33 @@ def checked_single_core(
     system.dram = _ExclusiveBus(config.dram)
     result = system.run(trace)
     check_timing_result(result, trace, width)
+    return result
+
+
+def checked_multi_core(
+    config: HierarchyConfig,
+    policy,
+    traces,
+    quota: int,
+    width: int = 4,
+    rob_entries: int = 128,
+) -> SystemResult:
+    """:class:`MultiCoreSystem` run with every timing invariant checked.
+
+    Swaps each core's timing and the shared DRAM bus for self-checking
+    subclasses (same arithmetic, so the result is unchanged), then
+    checks every core: IPC within the issue width, and ``quota *
+    max(1, ipa)`` instructions retired.
+    """
+    system = MultiCoreSystem(traces, config, policy, width=width, rob_entries=rob_entries)
+    for core in system.cores:
+        core.timing = _MonotoneCore(width=width, rob_entries=rob_entries)
+    system.dram = _ExclusiveBus(config.dram)
+    result = system.run(quota)
+    for core in system.cores:
+        _check_retired(
+            f"{result.name} core {core.core_id}", core.timing.ipc,
+            core.timing.retired_instructions, quota,
+            core.trace.instructions_per_access, width,
+        )
     return result

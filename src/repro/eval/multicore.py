@@ -13,10 +13,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ..cpu.system import MultiCoreSystem, SingleCoreSystem
+from ..cache.hierarchy import LLCStream
+from ..cpu.system import MultiCoreSystem, SingleCoreSystem, core_streams
 from ..perf.parallel import RunContext
 from ..policies.registry import make_policy
 from ..traces.mixes import WorkloadMix, make_mixes
+from ..traces.trace import Trace
 from .missrate import CONTENDERS
 from .runner import DEFAULT, ArtifactCache, ExperimentConfig
 from .tables import arithmetic_mean
@@ -36,16 +38,18 @@ class MixResult:
 
 
 def _make_mix_policy(policy_name: str, cores: int):
-    """Build a policy sized for a ``cores``-way shared LLC.
+    """The LLC policy for a ``cores``-way shared LLC: a name or an instance.
 
     The OPTgen-trained policies observe per-set access interleavings
     from all cores, so their occupancy window (a per-set time span) must
     scale with the core count — exactly as their hardware budget scales
-    with the shared LLC's size.
+    with the shared LLC's size.  Those two need an instance to carry
+    ``window_factor``; every other policy goes by registry name, so it
+    takes its fast kernel when it has one.
     """
     if policy_name in ("hawkeye", "glider") and cores > 1:
         return make_policy(policy_name, window_factor=8 * cores)
-    return make_policy(policy_name)
+    return policy_name
 
 
 def _weighted_ipc(
@@ -54,13 +58,15 @@ def _weighted_ipc(
     policy_name: str,
     quota: int,
     single_ipcs: dict[str, float],
+    traces: list[Trace],
+    streams: list[LLCStream],
 ) -> float:
-    traces = [cache.trace(b) for b in mix.benchmarks]
     cores = len(traces)
     system = MultiCoreSystem(
         traces,
         cache.config.hierarchy(cores=cores),
         _make_mix_policy(policy_name, cores),
+        streams=streams,
     )
     result = system.run(quota_accesses=quota)
     weighted = 0.0
@@ -72,8 +78,14 @@ def _weighted_ipc(
 def _single_ipc(
     benchmark: str, *, cache: ArtifactCache, cores: int
 ) -> tuple[str, float]:
-    """One benchmark alone on the shared-size cache (pool-worker safe)."""
-    system = SingleCoreSystem(cache.config.hierarchy(cores=cores), "lru")
+    """One benchmark alone on the shared-size cache (pool-worker safe).
+
+    The L1/L2 do not scale with the core count, so the benchmark's
+    cached single-core stream already holds the right service levels.
+    """
+    system = SingleCoreSystem(
+        cache.config.hierarchy(cores=cores), "lru", stream=cache.llc_stream(benchmark)
+    )
     return benchmark, system.run(cache.trace(benchmark)).ipc
 
 
@@ -86,12 +98,20 @@ def _mix_task(
     quota: int,
     single_ipcs: dict[str, float],
 ) -> MixResult:
-    """One S-curve point: a mix under LRU and every contender."""
+    """One S-curve point: a mix under LRU and every contender.
+
+    The cores' private L1/L2 do not depend on the LLC policy, so the mix
+    is filtered once and every policy's system steps the same streams.
+    """
     mix = mixes[name]
-    lru_weighted = _weighted_ipc(cache, mix, "lru", quota, single_ipcs)
+    traces = [cache.trace(b) for b in mix.benchmarks]
+    streams = core_streams(traces, cache.config.hierarchy(cores=len(traces)), quota)
+    lru_weighted = _weighted_ipc(cache, mix, "lru", quota, single_ipcs, traces, streams)
     speedups: dict[str, float] = {}
     for policy in policies:
-        weighted = _weighted_ipc(cache, mix, policy, quota, single_ipcs)
+        weighted = _weighted_ipc(
+            cache, mix, policy, quota, single_ipcs, traces, streams
+        )
         speedups[policy] = 100.0 * (weighted / max(1e-9, lru_weighted) - 1.0)
     return MixResult(mix=mix, weighted_speedup_percent=speedups)
 

@@ -39,17 +39,19 @@ def _speedup_benchmark(
 ) -> SpeedupResult:
     """One Figure 12 row (module-level so it pickles into pool workers).
 
-    Each timing run filters the trace itself, since the timing pass
-    needs every access's service level, and replays the LLC stream on
-    the policy's kernel: policies go by registry name, so the learned
-    ones (Hawkeye, SHiP++, Glider) take their fast kernels.
+    The benchmark is filtered once (``cache.llc_stream``, which carries
+    every access's service level for the timing pass) and every timing
+    run replays that stream on the policy's kernel: policies go by
+    registry name, so the learned ones (Hawkeye, SHiP++, Glider) take
+    their fast kernels.
     """
     config = cache.config
     trace = cache.trace(benchmark)
-    lru = SingleCoreSystem(config.hierarchy(), "lru").run(trace)
+    stream = cache.llc_stream(benchmark)
+    lru = SingleCoreSystem(config.hierarchy(), "lru", stream=stream).run(trace)
     ipcs: dict[str, float] = {}
     for policy in policies:
-        result = SingleCoreSystem(config.hierarchy(), policy).run(trace)
+        result = SingleCoreSystem(config.hierarchy(), policy, stream=stream).run(trace)
         ipcs[policy] = result.ipc
     try:
         group = suite_group(benchmark)

@@ -127,6 +127,23 @@ def test_matches_oracle_on_small_geometries(config, policy, accesses, ipa):
     _assert_matches_oracle(config, policy, trace)
 
 
+def test_prefiltered_stream_matches_own_filter(traces):
+    """A stream filtered once serves every policy and core count."""
+    from repro.cache.hierarchy import filter_to_llc_stream
+
+    trace = traces["mcf"]
+    stream = filter_to_llc_stream(trace, CONFIG.hierarchy())
+    for config in GEOMETRIES.values():
+        for policy in ("lru", "hawkeye", "mpppb"):
+            shared = SingleCoreSystem(config, policy, stream=stream).run(trace)
+            assert _fields(shared) == _fields(SingleCoreSystem(config, policy).run(trace))
+    with pytest.raises(ValueError):
+        SingleCoreSystem(CONFIG.hierarchy(), "lru", stream=stream).run(traces["lbm"].head(10))
+    stream.levels = None
+    with pytest.raises(ValueError):
+        SingleCoreSystem(CONFIG.hierarchy(), "lru", stream=stream)
+
+
 def test_fast_path_builds_no_reference_cache(monkeypatch, traces):
     """With equal line sizes and a kernel policy, no object-based cache
     level is constructed: filter, kernel and timing pass do all the work."""
