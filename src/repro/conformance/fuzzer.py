@@ -11,7 +11,7 @@ case sequence the run gets.
 Worker tasks are pure functions of a spec dict (see
 :func:`_fuzz_case_worker`), so the fuzzer rides the same
 :class:`~repro.robust.supervise.TaskSupervisor` machinery as the
-experiment matrix: a worker that crashes or hangs costs a retry, not
+figure drivers' grids: a worker that crashes or hangs costs a retry, not
 the fuzz run.
 """
 

@@ -22,7 +22,7 @@ once).  ``--task-timeout`` puts a wall-clock deadline on each task,
 ``--max-pool-restarts`` bounds pool recycling after worker crashes, and
 ``--no-degrade`` turns the sequential fallback into a hard error; a
 crash journal (JSONL) lands next to the resume manifest.  The
-``bench`` subcommand times the filter/replay/matrix stages on both
+``bench`` subcommand times the filter/replay/insight stages on the
 simulation engines and writes ``BENCH_sim.json`` (``--quick`` for the
 CI smoke variant, ``--out`` to choose the path).
 
@@ -399,17 +399,11 @@ def _dispatch(args, config, cache, subset, run, emit):
     elif args.experiment == "bench":
         from ..perf.bench import run_bench
 
-        report = run_bench(
-            jobs=max(2, args.jobs), quick=args.quick, out=args.out
-        )
+        report = run_bench(quick=args.quick, out=args.out)
         emit(f"bench report -> {args.out}")
         emit(f"filter speedup: {report['filter']['speedup']:.1f}x")
         for policy, entry in report["replay"].items():
             emit(f"replay {policy}: {entry['speedup']:.1f}x")
-        emit(
-            f"matrix jobs={report['matrix']['jobs']}: "
-            f"{report['matrix']['speedup']:.2f}x vs sequential"
-        )
 
     report = run.report
     if report is not None:

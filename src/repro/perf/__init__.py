@@ -1,25 +1,24 @@
-"""Performance subsystem: parallel experiment matrices and benchmarking.
+"""Performance subsystem: the parallel grid runner and benchmarking.
 
 Layer 2 of the fast-path work (Layer 1 is :mod:`repro.cache.fastsim`):
 
-* :mod:`repro.perf.parallel` — fan the (benchmark x policy) experiment
-  grid out across worker processes with deterministic per-task seeding,
-  on the supervised pool of :mod:`repro.robust.supervise` (watchdogs,
-  pool recycling, graceful degradation).
+* :mod:`repro.perf.parallel` — :class:`~repro.perf.parallel.RunContext`
+  fans a figure driver's per-benchmark grid out across worker processes
+  with deterministic per-task seeding, on the supervised pool of
+  :mod:`repro.robust.supervise` (watchdogs, pool recycling, graceful
+  degradation).
 * :mod:`repro.perf.bench` — the ``repro.eval bench`` subcommand: time
-  the stream-filter / replay / end-to-end stages on both engines and
-  record the perf trajectory in ``BENCH_sim.json``.
+  the filter / replay / insight stages and record the perf trajectory
+  in ``BENCH_sim.json``.
 """
 
 from .bench import BENCH_SCHEMA, run_bench, validate_bench
-from .parallel import ExperimentMatrix, parallel_map, run_matrix, task_seed
+from .parallel import parallel_map, task_seed
 
 __all__ = [
     "BENCH_SCHEMA",
-    "ExperimentMatrix",
     "parallel_map",
     "run_bench",
-    "run_matrix",
     "task_seed",
     "validate_bench",
 ]

@@ -65,7 +65,7 @@ class TestSummarize:
             "schema": "repro.perf.bench/v1",
             "filter": {"reference_s": 2.0, "fast_s": 1.0, "speedup": 2.0},
             "replay": {"lru": {"speedup": 30.0}},
-            "matrix": {"speedup": 1.8},
+            "insight": {"hawkeye": {"disabled_overhead_pct": 0.5}},
         }
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(report))
@@ -73,6 +73,7 @@ class TestSummarize:
         out = capsys.readouterr().out
         assert "bench.filter.speedup" in out
         assert "bench.replay.speedup{policy=lru}" in out
+        assert "bench.insight.disabled_overhead_pct{policy=hawkeye}" in out
 
 
 class TestDiff:

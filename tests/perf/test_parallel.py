@@ -16,9 +16,10 @@ import pytest
 
 from repro.eval.accuracy import offline_accuracy, online_accuracy
 from repro.eval.missrate import miss_rate_reduction
+from repro.eval.multicore import weighted_speedup_sweep
 from repro.eval.runner import ArtifactCache, ExperimentConfig
 from repro.eval.speedup import single_core_speedup
-from repro.perf.parallel import RunContext, parallel_map, run_matrix, task_seed
+from repro.perf.parallel import RunContext, parallel_map, task_seed
 
 CONFIG = ExperimentConfig(trace_length=6_000)
 BENCHMARKS = ("mcf", "lbm")
@@ -48,51 +49,21 @@ def test_parallel_map_accepts_partials():
     assert parallel_map(add, [1, 2, 3], jobs=2) == [11, 12, 13]
 
 
-def test_run_matrix_parallel_is_bit_identical():
-    seq = run_matrix(BENCHMARKS, POLICIES, CONFIG, jobs=1)
-    par = run_matrix(BENCHMARKS, POLICIES, CONFIG, jobs=2)
-    assert seq.demand_miss_rates() == par.demand_miss_rates()
-    assert set(seq.cells) == {(b, p) for b in BENCHMARKS for p in POLICIES}
-
-
-def test_run_matrix_belady_pseudo_policy():
-    matrix = run_matrix(("mcf",), ("lru", "belady"), CONFIG, jobs=1)
-    lru = matrix.stats("mcf", "lru")
-    belady = matrix.stats("mcf", "belady")
-    # MIN provably maximises total hits.
-    assert belady.hits >= lru.hits
-
-
-def test_run_matrix_cell_granularity_matches_benchmark(tmp_path):
-    store = str(tmp_path / "store")
-    by_benchmark = run_matrix(
-        BENCHMARKS, POLICIES, CONFIG, jobs=1, granularity="benchmark"
-    )
-    by_cell = run_matrix(
-        BENCHMARKS, POLICIES, CONFIG, jobs=2, store=store, granularity="cell"
-    )
-    assert by_benchmark.demand_miss_rates() == by_cell.demand_miss_rates()
-
-
-def test_run_matrix_rejects_unknown_granularity():
-    with pytest.raises(ValueError):
-        run_matrix(BENCHMARKS, POLICIES, CONFIG, granularity="bogus")
-
-
-def test_run_matrix_cell_without_store_uses_ephemeral_store():
-    """Per-cell tasks without a caller store are backed by an ephemeral
-    one that the parent fills once per benchmark, so cell granularity
-    is safe (no per-cell stream recomputation) and bit-identical."""
-    by_cell = run_matrix(BENCHMARKS, POLICIES, CONFIG, jobs=2, granularity="cell")
-    seq = run_matrix(BENCHMARKS, POLICIES, CONFIG, jobs=1)
-    assert by_cell.demand_miss_rates() == seq.demand_miss_rates()
-
-
 #: One tiny (config, driver call) per grid driver; fig9 trains a
 #: one-epoch toy LSTM.
 _TINY_LSTM = replace(
     CONFIG, lstm_embedding=8, lstm_hidden=8, lstm_history=8, lstm_epochs=1
 )
+
+
+def _two_core_mixes(config, benchmarks, cache=None, run=None):
+    """fig13 on two 2-core mixes; its tasks are mixes, so ``benchmarks``
+    is ignored."""
+    return weighted_speedup_sweep(
+        config, num_mixes=2, cores=2, quota=2_000, cache=cache, run=run
+    )
+
+
 _DRIVERS = {
     "fig9": (_TINY_LSTM, functools.partial(offline_accuracy, linear_epochs=1)),
     "fig10": (CONFIG, online_accuracy),
@@ -103,6 +74,7 @@ _DRIVERS = {
         ),
     ),
     "fig12": (CONFIG, functools.partial(single_core_speedup, policies=("srrip",))),
+    "fig13": (CONFIG, _two_core_mixes),
 }
 
 
