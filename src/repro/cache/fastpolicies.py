@@ -25,6 +25,16 @@ and RNG draw sequence (batched PCG64 draws are bit-identical to the
 reference policies' sequential draws).  ``verify_parity`` and the
 conformance fuzzer enforce this across the adversarial trace families.
 
+Trained state: a kernel built from a caller's policy instance (its
+``policy`` attribute) writes what it learned back into that instance at
+:meth:`_StreamKernel.finish` — PSEL, SHCT, predictor counters, ISVM
+weights/threshold/statistics, PCHRs, prediction scores, and the flat
+OPTgen sampler itself, which answers the reference sampler's
+``events_produced``/``opt_hit_rate()``/``occupancy_histogram()``.  The
+write-back overwrites rather than accumulates, so ``finish`` may run any
+number of times.  The instance must be fresh when the kernel is built:
+kernels start from the spec's parameters, not from existing state.
+
 Hash/context representation: the reference engine stores raw PCs and
 hashes them at every prediction/training; the kernels hash each access's
 PC once, up front, and store the *hashed* forms (predictor index, ISVM
@@ -76,6 +86,10 @@ class _StreamKernel:
     and steps equals one feed of the same accesses.
     """
 
+    #: The caller's policy instance the kernel was built from, if any;
+    #: :meth:`finish` writes trained state back into it.
+    policy = None
+
     def decode(self, stream) -> tuple:
         return _decode_stream(stream, self.config)
 
@@ -93,6 +107,8 @@ class _StreamKernel:
         return event[0][0] == 1
 
     def finish(self) -> CacheStats:
+        if self.policy is not None:
+            self._write_back(self.policy)
         stats = CacheStats(name=self.config.name)
         stats.demand_hits = self.dh
         stats.demand_misses = self.dm
@@ -107,6 +123,9 @@ class _StreamKernel:
     @property
     def stats(self) -> CacheStats:
         return self.finish()
+
+    def _write_back(self, policy) -> None:
+        """Copy trained state into ``policy`` (stateless kernels have none)."""
 
 
 # -- vectorized PC hashing ----------------------------------------------------
@@ -203,6 +222,7 @@ class _FlatOptGenSampler:
         "window",
         "tracker_ways",
         "sampled",
+        "events_produced",
         "_state",
     )
 
@@ -212,7 +232,8 @@ class _FlatOptGenSampler:
     # capacity: slots never drain inside the window, so the interval
     # [prev, now) contains a full slot iff LAST_FULL >= prev — an O(1)
     # replacement for the reference's O(window) interval scan (stale
-    # full slots sit below base <= prev and can't false-positive).
+    # full slots sit below base <= prev and can't false-positive).  TIME
+    # counts the set's accesses and HITS its OPT hits.
     (
         _OCC,
         _BASE,
@@ -223,7 +244,8 @@ class _FlatOptGenSampler:
         _SWEPT,
         _CURSOR,
         _LAST_FULL,
-    ) = range(9)
+        _HITS,
+    ) = range(10)
 
     def __init__(
         self,
@@ -240,7 +262,8 @@ class _FlatOptGenSampler:
         self.capacity = associativity
         self.window = window_factor * associativity
         self.tracker_ways = tracker_ways if tracker_ways is not None else self.window
-        self._state = {s: [[], 0, 0, {}, {}, {}, 0, 0, -1] for s in self.sampled}
+        self.events_produced = 0
+        self._state = {s: [[], 0, 0, {}, {}, {}, 0, 0, -1, 0] for s in self.sampled}
 
     # A frozenset pickles in iteration order, which is not stable across
     # a pickle round trip — serialize sorted so the checkpoint digest of
@@ -253,6 +276,25 @@ class _FlatOptGenSampler:
     def __setstate__(self, state: dict) -> None:
         for slot, value in state.items():
             setattr(self, slot, frozenset(value) if slot == "sampled" else value)
+
+    @property
+    def associativity(self) -> int:
+        return self.capacity
+
+    def opt_hit_rate(self) -> float:
+        """MIN's hit rate over the sampled sets (as ``OptGenSampler``)."""
+        hits = sum(state[9] for state in self._state.values())
+        total = sum(state[2] for state in self._state.values())
+        return hits / max(1, total)
+
+    def occupancy_histogram(self) -> dict[int, int]:
+        """Occupancy-level -> count over every sampled set's occupancy
+        vector (as ``OptGenSampler``)."""
+        histogram: dict[int, int] = {}
+        for state in self._state.values():
+            for level in state[0]:
+                histogram[level] = histogram.get(level, 0) + 1
+        return histogram
 
     def access(self, line: int, token, context) -> list:
         """One sampled demand access; returns ``(token, context, label)``
@@ -269,6 +311,7 @@ class _FlatOptGenSampler:
         hit = False
         if not first and state[8] < prev:
             hit = True
+            state[9] += 1
             cap = self.capacity
             newly_full = -1
             for i in range(prev - base, now - base):
@@ -343,6 +386,7 @@ class _FlatOptGenSampler:
             for old in stale:
                 info = tracked.pop(old)
                 events.append((info[0], info[1], False))
+        self.events_produced += len(events)
         return events
 
 
@@ -399,6 +443,9 @@ class _DRRIPKernel(_StreamKernel):
 
     def _run(self, columns, record) -> None:
         _drrip_feed(self, columns, record)
+
+    def _write_back(self, policy) -> None:
+        policy.psel = self.psel
 
     def feed(self, stream, record=None) -> None:
         super().feed(stream, record)
@@ -566,6 +613,9 @@ class _ShipKernel(_StreamKernel):
     def _run(self, columns, record) -> None:
         _ship_feed(self, columns, record)
 
+    def _write_back(self, policy) -> None:
+        policy.shct = list(self.shct)
+
     def feed(self, stream, record=None) -> None:
         super().feed(stream, record)
         rec = _insight_recorder(self.config)
@@ -725,6 +775,7 @@ class _HawkeyeKernel(_StreamKernel):
         self.sampler = _FlatOptGenSampler(
             num_sets, assoc, num_sampled_sets, window_factor
         )
+        self.prediction_checks = self.prediction_correct = 0
         self.tag_t = [[-1] * assoc for _ in range(num_sets)]
         self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
@@ -745,6 +796,12 @@ class _HawkeyeKernel(_StreamKernel):
 
     def _run(self, columns, record) -> None:
         _hawkeye_feed(self, columns, record)
+
+    def _write_back(self, policy) -> None:
+        policy.predictor.table = list(self.table)
+        policy.sampler = self.sampler
+        policy.prediction_checks = self.prediction_checks
+        policy.prediction_correct = self.prediction_correct
 
     def feed(self, stream, record=None) -> None:
         super().feed(stream, record)
@@ -790,18 +847,25 @@ def _hawkeye_feed(kernel, columns, record) -> None:
     )
     pch = kernel.pch
     pcm = kernel.pcm
+    checks = kernel.prediction_checks
+    correct = kernel.prediction_correct
     for i in range(len(sets)):
         s = sets[i]
         t = tags[i]
         k = kinds[i]
         if k != _KIND_WRITEBACK and samp_acc[i]:
+            # The live prediction, read before this access's sampler
+            # events train the table — the same point in training order
+            # where the reference policy snapshots its context.  Each
+            # event scores the prediction stored with the labelled access.
+            cnt = table[pidx[i]]
+            friendly = cnt >= mid
             if rec_access is not None:
-                # The live prediction, read before this access's sampler
-                # events train the table — the same point in training
-                # order where the reference policy snapshots its context.
-                cnt = table[pidx[i]]
-                rec_access(lines[i], int(pcs[i]), cnt >= mid, counter=cnt)
-            for tok, _ctx, label in sampler_access(lines[i], pidx[i], None):
+                rec_access(lines[i], int(pcs[i]), friendly, counter=cnt)
+            for tok, predicted, label in sampler_access(lines[i], pidx[i], friendly):
+                checks += 1
+                if predicted == label:
+                    correct += 1
                 c = table[tok]
                 if label:
                     if c < counter_max:
@@ -887,6 +951,8 @@ def _hawkeye_feed(kernel, columns, record) -> None:
                 rrpv_t[s][w] = _HAWKEYE_MAX_RRPV
         if record is not None:
             record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    kernel.prediction_checks = checks
+    kernel.prediction_correct = correct
     kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
         dh, dm, wh, wm, ev, dev
     )
@@ -944,6 +1010,8 @@ class _GliderKernel(_StreamKernel):
         self.hc_cut = min(HIGH_CONFIDENCE_SUM, max(1, threshold))
         self.win_correct = self.win_total = 0
         self.cand_scores: dict[int, float] = {}
+        self.trainings = self.gated_updates = 0
+        self.prediction_checks = self.prediction_correct = 0
         self.sampler = _FlatOptGenSampler(
             num_sets, assoc, num_sampled_sets, window_factor, tracker_ways
         )
@@ -974,6 +1042,33 @@ class _GliderKernel(_StreamKernel):
 
     def _run(self, columns, record) -> None:
         _glider_feed(self, columns, record)
+
+    def _write_back(self, policy) -> None:
+        from ..core.features import PCHistoryRegister
+        from ..core.isvm import ISVMTableStats
+
+        isvm = policy.isvm
+        for entry, weights in zip(isvm._table, self.weights):
+            entry.weights = list(weights)
+        isvm.threshold = self.threshold
+        isvm._window_correct = self.win_correct
+        isvm._window_total = self.win_total
+        isvm._candidate_scores = dict(self.cand_scores)
+        # The reference predicts twice per demand access: once for the
+        # sampler context, once at the hit or fill.
+        isvm.stats = ISVMTableStats(
+            trainings=self.trainings,
+            gated_updates=self.gated_updates,
+            predictions=2 * (self.dh + self.dm),
+        )
+        policy.pchr = {}
+        for core, (pcs, _hashes, _hist) in self.pchr.items():
+            register = PCHistoryRegister(self.k)
+            register._entries = list(pcs)
+            policy.pchr[core] = register
+        policy.sampler = self.sampler
+        policy.prediction_checks = self.prediction_checks
+        policy.prediction_correct = self.prediction_correct
 
     def feed(self, stream, record=None) -> None:
         super().feed(stream, record)
@@ -1018,36 +1113,44 @@ def _glider_feed(kernel, columns, record) -> None:
     confidence_insertion = kernel.confidence_insertion
     weights = kernel.weights
     wmin, wmax = ISVM.WEIGHT_MIN, ISVM.WEIGHT_MAX
-    # The adaptive-threshold window lives in feed-locals (train() binds
-    # them via nonlocal for speed) and is persisted back to the kernel
-    # after the loop so chunked feeding matches one-shot exactly.
+    # The adaptive-threshold window and the training counters live in
+    # feed-locals (train() binds them via nonlocal for speed) and are
+    # persisted back to the kernel after the loop so chunked feeding
+    # matches one-shot exactly.
     threshold = kernel.threshold
     hc_cut = kernel.hc_cut
     win_correct = kernel.win_correct
     win_total = kernel.win_total
     cand_scores = kernel.cand_scores
+    trainings = kernel.trainings
+    gated = kernel.gated_updates
     max_rrpv = _HAWKEYE_MAX_RRPV
 
     def train(entry: int, hist: tuple, label: bool) -> None:
-        nonlocal win_correct, win_total, threshold, hc_cut
+        nonlocal win_correct, win_total, threshold, hc_cut, trainings, gated
+        trainings += 1
         e = weights[entry]
         tot = 0
         for h in hist:
             tot += e[h]
-        if adaptive:
-            win_total += 1
-            if (tot >= AVERSE_SUM) == label:
-                win_correct += 1
+        # The reference keeps the accuracy window even when not adapting.
+        win_total += 1
+        if (tot >= AVERSE_SUM) == label:
+            win_correct += 1
         # Perceptron gate: skip when already confidently past the margin.
         if label:
             if tot <= threshold:
                 for h in hist:
                     v = e[h] + 1
                     e[h] = v if v <= wmax else wmax
+            else:
+                gated += 1
         elif tot >= -threshold:
             for h in hist:
                 v = e[h] - 1
                 e[h] = v if v >= wmin else wmin
+        else:
+            gated += 1
         if adaptive and win_total >= adapt_interval:
             accuracy = win_correct / max(1, win_total)
             win_correct = win_total = 0
@@ -1095,6 +1198,8 @@ def _glider_feed(kernel, columns, record) -> None:
     )
     pch = kernel.pch
     pcm = kernel.pcm
+    checks = kernel.prediction_checks
+    correct = kernel.prediction_correct
     # hist/reg caches are re-derived from pchr per feed: every demand
     # access re-reads them before use and writebacks never do, so
     # resetting at a chunk boundary cannot change behaviour.
@@ -1115,15 +1220,17 @@ def _glider_feed(kernel, columns, record) -> None:
             reg_pcs = reg[0]
             hist = reg[2]
             if sa:
+                # Live prediction from the pre-insertion PCHR, read
+                # before this access's sampler events train — the same
+                # training-order point as the reference.  It is stored
+                # with the access; each event scores the stored one.
+                e0 = weights[ei]
+                tot0 = 0
+                for h in hist:
+                    tot0 += e0[h]
+                friendly = tot0 >= AVERSE_SUM
                 if rec_access is not None:
-                    # Live prediction from the pre-insertion PCHR, read
-                    # before this access's sampler events train — the
-                    # same training-order point as the reference.
-                    e0 = weights[ei]
-                    tot0 = 0
-                    for h in hist:
-                        tot0 += e0[h]
-                    rec_access(ln, pc, tot0 >= AVERSE_SUM, margin=tot0)
+                    rec_access(ln, pc, friendly, margin=tot0)
                 # Inlined _FlatOptGenSampler.access(ln, ei, hist), with
                 # train() called directly in the reference event order
                 # (reuse verdict first, then stale/overflow detrains).
@@ -1138,6 +1245,7 @@ def _glider_feed(kernel, columns, record) -> None:
                 shit = False
                 if not sfirst and sst[8] < sprev:
                     shit = True
+                    sst[9] += 1
                     snf = -1
                     for oi in range(sprev - sbase, snow - sbase):
                         sv = socc[oi] + 1
@@ -1149,6 +1257,9 @@ def _glider_feed(kernel, columns, record) -> None:
                 sinfo = strk.get(ln)
                 if sinfo is not None:
                     train(sinfo[0], sinfo[1], shit)
+                    checks += 1
+                    if sinfo[3] == shit:
+                        correct += 1
                 slast[ln] = snow
                 socc.append(0)
                 snow += 1
@@ -1160,7 +1271,7 @@ def _glider_feed(kernel, columns, record) -> None:
                     sst[1] = sbase
                 if len(slast) > swindow4:
                     sst[3] = {l: st for l, st in slast.items() if st >= sbase}
-                strk[ln] = (ei, hist, snow)
+                strk[ln] = (ei, hist, snow, friendly)
                 sby = sst[5]
                 sby[snow] = ln
                 sstale = None
@@ -1201,6 +1312,9 @@ def _glider_feed(kernel, columns, record) -> None:
                     for sold in sstale:
                         sinfo = strk.pop(sold)
                         train(sinfo[0], sinfo[1], False)
+                        checks += 1
+                        if not sinfo[3]:
+                            correct += 1
             if not reg_pcs or reg_pcs[0] != pc:
                 reg_hashes = reg[1]
                 if pc in reg_pcs:
@@ -1309,6 +1423,12 @@ def _glider_feed(kernel, columns, record) -> None:
     kernel.hc_cut = hc_cut
     kernel.win_correct = win_correct
     kernel.win_total = win_total
+    kernel.trainings = trainings
+    kernel.gated_updates = gated
+    # Every sampler event scored one prediction.
+    sampler.events_produced += checks - kernel.prediction_checks
+    kernel.prediction_checks = checks
+    kernel.prediction_correct = correct
     kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
         dh, dm, wh, wm, ev, dev
     )

@@ -19,7 +19,10 @@ This module provides:
 * **A shared engine protocol** — :func:`replay` dispatches a policy
   (registry name or instance) to its fast kernel when one exists and
   falls back *transparently* to the reference engine otherwise, so
-  callers never need to know which policies are accelerated.
+  callers never need to know which policies are accelerated.  A name
+  is shorthand for a fresh instance, and a learned kernel writes its
+  trained state back into a caller's instance at ``finish()``, so the
+  object reads the same after either engine.
 * **A parity harness** — both engines can record a per-access event
   stream ``(hit, bypassed, way, evicted_tag, evicted_dirty)``;
   :func:`verify_parity` asserts access-by-access equivalence plus equal
@@ -39,7 +42,6 @@ runs are bit-identical, not merely statistically alike.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -132,27 +134,23 @@ def fast_path_kernel(policy) -> tuple[str, dict] | None:
     """Resolve a policy (registry name or instance) to a fast kernel.
 
     Returns ``(kernel, params)`` or None when the policy must take the
-    reference engine; the policy's registry spec supplies both, reading
-    every parameter from an instance.  A name resolves through a fresh
-    instance.  An instance resolves by *exact* type, so a subclass with
-    overridden hooks is never silently fast-pathed; a stochastic
-    instance is assumed fresh (un-drawn RNG), which is how every
-    experiment constructs them.  The learned policies (specs with
-    ``trains`` set: DRRIP, SHiP, SHiP++, Hawkeye, Glider) fast-path by
-    *registry name only*: their instances accumulate trained state
-    (PSEL/SHCT/predictor tables/ISVM weights) that callers inspect after
-    a simulation — e.g. the accuracy eval reads ``policy.predictor`` —
-    and a kernel replay would leave the object untouched.  Pass the name
-    when only the stats matter; pass an instance to get a trained object
-    back.
+    reference engine.  A name resolves as the fresh instance
+    :func:`~repro.policies.registry.make_policy` builds; an instance
+    resolves by *exact* type to its registry spec, which reads every
+    parameter off it, so a subclass with overridden hooks is never
+    silently fast-pathed.
+
+    The instance is assumed fresh — an un-drawn RNG and untrained
+    tables, which is how every experiment constructs them — because a
+    kernel starts from the spec's parameters, not from the instance's
+    current state.  A kernel built from a caller's instance writes the
+    state it trains (PSEL, SHCT, predictor counters, ISVM weights, the
+    OPTgen sampler, prediction scores) back into it at ``finish()``.
     """
     if isinstance(policy, str):
-        spec = policy_specs().get(policy)
-        if spec is None or spec.kernel is None:
-            return None
-        return spec.kernel(spec.make())
+        policy = make_policy(policy)
     spec = spec_for_instance(policy)
-    if spec is None or spec.kernel is None or spec.trains:
+    if spec is None or spec.kernel is None:
         return None
     return spec.kernel(policy)
 
@@ -487,12 +485,10 @@ class _ReferenceKernel:
     whenever the policy itself does.
     """
 
-    def __init__(self, policy, config) -> None:
+    def __init__(self, policy, config: CacheConfig) -> None:
         from .cache import SetAssociativeCache
 
-        if isinstance(policy, str):
-            policy = make_policy(policy)
-        self.llc = SetAssociativeCache(_llc_config(config), policy)
+        self.llc = SetAssociativeCache(config, policy)
         self.access_index = 0
 
     def decode(self, stream) -> tuple:
@@ -555,19 +551,26 @@ def make_stream_kernel(policy, config=None, engine: str = "auto"):
     access_index) -> hit`` per access).  ``engine`` follows
     :func:`replay`: ``"auto"`` picks the fast kernel when one exists,
     ``"reference"`` forces the object engine, ``"fast"`` raises for
-    unsupported policies.
+    unsupported policies.  A fast kernel built from an instance writes
+    trained state back into it at ``finish()`` (see
+    :func:`fast_path_kernel`); one built from a name has no instance to
+    write to.
     """
     if engine not in ("auto", "fast", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
     llc = _llc_config(config)
-    resolved = fast_path_kernel(policy) if engine != "reference" else None
+    instance = make_policy(policy) if isinstance(policy, str) else policy
+    resolved = fast_path_kernel(instance) if engine != "reference" else None
     if resolved is None:
         if engine == "fast":
             name = policy if isinstance(policy, str) else type(policy).__name__
             raise ValueError(f"policy {name!r} has no fast-path kernel")
-        return _ReferenceKernel(policy, llc)
+        return _ReferenceKernel(instance, llc)
     kind, params = resolved
-    return _STREAM_KERNELS[kind](llc, **params)
+    kernel = _STREAM_KERNELS[kind](llc, **params)
+    if instance is policy:
+        kernel.policy = policy
+    return kernel
 
 
 # -- the engine protocol ------------------------------------------------------
@@ -576,7 +579,7 @@ def make_stream_kernel(policy, config=None, engine: str = "auto"):
 def reference_replay(stream, policy, config=None, record: list | None = None) -> CacheStats:
     """Replay on the reference object-based engine, optionally recording
     the per-access event stream for parity checking."""
-    return _run(_ReferenceKernel(policy, config), stream, record)
+    return _run(make_stream_kernel(policy, config, "reference"), stream, record)
 
 
 def _run(kernel, stream, record) -> CacheStats:
@@ -590,9 +593,16 @@ def replay(
     config=None,
     engine: str = "auto",
     record: list | None = None,
-    verify: bool = False,
 ) -> CacheStats:
-    """Observability wrapper around :func:`_replay` (same contract).
+    """Replay an LLC stream against a policy on the best engine.
+
+    ``policy`` is a registry name or a :class:`ReplacementPolicy`
+    instance; ``config`` a :class:`HierarchyConfig`, a single
+    :class:`CacheConfig` (the LLC geometry), or None for the default
+    scaled hierarchy.  ``engine`` is ``"auto"`` (fast when a kernel
+    exists, reference otherwise), ``"fast"`` (error if unsupported), or
+    ``"reference"``.  ``record``, when given, collects the per-access
+    event tuples.
 
     When metrics/tracing are off — the default — this is one flag check
     and a tail call; the kernels themselves are never instrumented, so
@@ -602,19 +612,20 @@ def replay(
     its gauges into the metrics registry after the run.
     """
     if not obs_metrics.ENABLED and obs_trace.get_tracer() is None:
-        return _replay(stream, policy, config, engine, record, verify)
+        return _run(make_stream_kernel(policy, config, engine), stream, record)
 
     pname = policy if isinstance(policy, str) else getattr(
         policy, "name", type(policy).__name__
     )
-    used = "fast" if engine != "reference" and fast_path_kernel(policy) else "reference"
+    kernel = make_stream_kernel(policy, config, engine)
+    used = "reference" if isinstance(kernel, _ReferenceKernel) else "fast"
     accesses = len(stream.addresses)
     with obs_trace.span(
         "sim.replay", policy=str(pname), engine=used, accesses=accesses,
         benchmark=stream.name,
     ):
         t0 = time.perf_counter()
-        stats = _replay(stream, policy, config, engine, record, verify)
+        stats = _run(kernel, stream, record)
         elapsed = time.perf_counter() - t0
     if obs_metrics.ENABLED:
         labels = {"policy": str(pname), "engine": used}
@@ -635,64 +646,6 @@ def replay(
         if recorder is not None:
             recorder.publish()
     return stats
-
-
-def _replay(
-    stream,
-    policy,
-    config=None,
-    engine: str = "auto",
-    record: list | None = None,
-    verify: bool = False,
-) -> CacheStats:
-    """Replay an LLC stream against a policy on the best engine.
-
-    ``policy`` is a registry name or a :class:`ReplacementPolicy`
-    instance; ``config`` a :class:`HierarchyConfig`, a single
-    :class:`CacheConfig` (the LLC geometry), or None for the default
-    scaled hierarchy.  ``engine`` is ``"auto"`` (fast when a kernel
-    exists, reference otherwise), ``"fast"`` (error if unsupported), or
-    ``"reference"``.
-
-    Graceful degradation: with ``engine="auto"``, an
-    :class:`EngineParityError` raised at runtime — by a self-checking
-    kernel, or by the ``verify=True`` cross-check below — does not
-    propagate; the replay falls back to the reference engine with a
-    :class:`RuntimeWarning`, so a fast-path bug costs speed, never a
-    run.  ``verify=True`` (registry-name policies only) runs *both*
-    engines and checks access-by-access parity — a paranoia mode for
-    long unattended sweeps; with ``engine="fast"`` a parity failure
-    still raises.
-    """
-    kernel = make_stream_kernel(policy, config, engine)
-    if isinstance(kernel, _ReferenceKernel):
-        return _run(kernel, stream, record)
-    if verify and not isinstance(policy, str):
-        raise ValueError("verify=True requires a registry-name policy")
-    try:
-        if verify:
-            fast_events = record if record is not None else []
-            fast_stats = _run(kernel, stream, fast_events)
-            ref_events: list = []
-            ref_stats = reference_replay(stream, policy, config, record=ref_events)
-            if fast_events != ref_events or fast_stats != ref_stats:
-                raise EngineParityError(
-                    f"{policy}: fast and reference engines diverged at runtime"
-                )
-            return fast_stats
-        return _run(kernel, stream, record)
-    except EngineParityError as error:
-        if engine == "fast":
-            raise
-        warnings.warn(
-            f"fast engine failed parity ({error}); falling back to the "
-            "reference engine for this replay",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        if record is not None:
-            record.clear()
-        return reference_replay(stream, policy, config, record=record)
 
 
 def _set_state_before(stream, policy_name: str, config, index: int) -> tuple[int, list]:

@@ -9,7 +9,9 @@ Replacement-policy studies follow a two-phase methodology:
    phase runs once per trace.
 2. Each candidate LLC policy is then simulated on the recorded stream
    (:func:`simulate_llc`), which is how ChampSim-based studies including
-   the paper's are structured, just made explicit.
+   the paper's are structured, just made explicit.  A policy with a fast
+   kernel takes it whether passed by name or as an instance; an
+   instance holds its trained state afterwards on either engine.
 
 :class:`CacheHierarchy` is the object-based reference for phase 1: its
 per-access ``access`` path backs ``engine="reference"`` filtering, the
@@ -286,14 +288,14 @@ def simulate_llc(
 ) -> CacheStats:
     """Phase 2: replay a recorded LLC stream against one policy.
 
-    Dispatches through :func:`repro.cache.fastsim.replay`.  The
-    stateless policies (LRU/MRU/random/SRRIP/BRRIP) take an array
-    kernel whether passed by name or as an instance of the exact class;
-    the learned ones (DRRIP/SHiP/SHiP++/Hawkeye/Glider) take theirs when
-    passed by registry *name* — an instance runs the reference engine so
-    its trained state is real afterwards.  Everything else runs the
-    reference engine.  Both engines are access-by-access equivalent (see
-    the fastsim parity suite).
+    Dispatches through :func:`repro.cache.fastsim.replay`.  A registry
+    name is shorthand for a fresh instance, and an instance of a class
+    with a kernel (LRU/MRU/random/SRRIP/BRRIP/DRRIP/SHiP/SHiP++/Hawkeye/
+    Glider) takes it, built from the instance's own parameters.  A
+    learned kernel writes its trained state back into the instance, so
+    e.g. ``policy.online_accuracy`` reads the same as after a reference
+    replay.  Everything else runs the reference engine.  Both engines
+    are access-by-access equivalent (see the fastsim parity suite).
     """
     from .fastsim import replay
 

@@ -88,8 +88,8 @@ def default_policies() -> tuple[str, ...]:
     order.
 
     Read from the registry at call time, so a policy added with
-    :func:`~repro.policies.registry.register_policy` (which never has a
-    kernel) is fuzzed as reference-only without further wiring.
+    :func:`~repro.policies.registry.register_policy` (whose spec never
+    has a kernel) is fuzzed as reference-only without further wiring.
     """
     specs = policy_specs()
     return tuple(sorted(specs, key=lambda name: specs[name].kernel is None))

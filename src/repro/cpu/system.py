@@ -53,8 +53,8 @@ class SingleCoreSystem:
 
     ``llc_policy`` is a registry name (``"lru"`` by default) or a
     policy instance; it reaches :func:`repro.cache.fastsim.replay`
-    unchanged, so a name takes the policy's fast kernel when it has one
-    and an instance keeps the engine rules documented there.
+    unchanged, so either takes the policy's fast kernel when it has one,
+    and an instance holds its trained state afterwards.
 
     :meth:`run` is three passes, exact because timing never feeds back
     into cache state and the LRU L1/L2 never see the LLC policy: the
@@ -194,9 +194,10 @@ class MultiCoreSystem:
     :meth:`run` filters each core once (:func:`core_streams`), then keeps
     only the shared part per access: the time-ordered interleave steps
     the LLC kernel (``llc``, built by
-    :func:`repro.cache.fastsim.make_stream_kernel`, so a registry name
-    takes the policy's fast kernel and an instance keeps the engine
-    rules documented there) with each request that reached it.  A
+    :func:`repro.cache.fastsim.make_stream_kernel`, so a name or an
+    instance takes the policy's fast kernel when it has one, and an
+    instance holds its trained state after :meth:`run`) with each
+    request that reached it.  A
     demand's hit bit picks LLC latency or a DRAM reservation.
     ``streams``, when given, are this system's :func:`core_streams` for
     the quota :meth:`run` will be asked for, so the systems of one mix

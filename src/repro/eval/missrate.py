@@ -61,10 +61,9 @@ def _missrate_benchmark(
     pickles into process-pool workers)."""
     hierarchy = cache.config.hierarchy()
     stream = cache.llc_stream(benchmark)
-    # Policies go in by registry *name*: name dispatch is what unlocks
-    # the learned-policy fast kernels (instances always take the
-    # reference engine so trained state stays inspectable).  Unknown
-    # names still raise UnknownPolicyError from the reference resolver.
+    # Policies go in by registry name (each a fresh instance, so each
+    # takes its fast kernel when it has one); unknown names raise
+    # UnknownPolicyError.
     lru_stats = simulate_llc(stream, "lru", hierarchy)
     rates: dict[str, float] = {}
     hits: dict[str, int] = {"lru": lru_stats.hits}

@@ -44,8 +44,8 @@ def _make_mix_policy(policy_name: str, cores: int):
     from all cores, so their occupancy window (a per-set time span) must
     scale with the core count — exactly as their hardware budget scales
     with the shared LLC's size.  Those two need an instance to carry
-    ``window_factor``; every other policy goes by registry name, so it
-    takes its fast kernel when it has one.
+    ``window_factor``; every other policy goes by registry name.  Both
+    take the policy's fast kernel when it has one.
     """
     if policy_name in ("hawkeye", "glider") and cores > 1:
         return make_policy(policy_name, window_factor=8 * cores)

@@ -5,7 +5,9 @@ it, its exact class, and — when the fast engine
 (:mod:`repro.cache.fastsim`) has a kernel for it — how to read the
 kernel's parameters off an instance.  The fast/reference engine split,
 the conformance fuzzer's policy list and the kernel parameters are all
-derived from these entries.
+derived from these entries.  A registry name is shorthand for a fresh
+instance (:func:`make_policy`), so a name and an instance dispatch by
+the same rule: the instance's exact type picks the spec.
 """
 
 from __future__ import annotations
@@ -41,16 +43,14 @@ class PolicySpec:
     kernel.  ``kernel(policy)`` returns the fast
     engine's ``(kind, params)`` with every parameter read from the
     instance; None means the policy runs on the reference engine only.
-    ``trains`` marks learned policies whose instances accumulate state
-    callers read after a run (PSEL, SHCT, predictor tables, ISVM
-    weights): a kernel replay would leave that state untouched, so they
-    take their kernel by registry name only.
+    A learned policy's kernel writes its trained state (PSEL, SHCT,
+    predictor tables, ISVM weights) back into the instance it was built
+    from, so a caller reads the same object after either engine.
     """
 
     make: Callable[..., ReplacementPolicy]
     cls: type | None
     kernel: Callable[[ReplacementPolicy], tuple[str, dict]] | None = None
-    trains: bool = False
 
 
 def _ship_kernel(p) -> tuple[str, dict]:
@@ -110,12 +110,9 @@ _SPECS: dict[str, PolicySpec] = {
             "long_prob": p.long_probability,
             "seed": p._seed,
         }),
-        trains=True,
     ),
-    "ship": PolicySpec(SHiPPolicy, SHiPPolicy, _ship_kernel, trains=True),
-    "ship++": PolicySpec(
-        SHiPPlusPlusPolicy, SHiPPlusPlusPolicy, _ship_kernel, trains=True
-    ),
+    "ship": PolicySpec(SHiPPolicy, SHiPPolicy, _ship_kernel),
+    "ship++": PolicySpec(SHiPPlusPlusPolicy, SHiPPlusPlusPolicy, _ship_kernel),
     "sdbp": PolicySpec(SDBPPolicy, SDBPPolicy),
     "perceptron": PolicySpec(PerceptronPolicy, PerceptronPolicy),
     "mpppb": PolicySpec(MPPPBPolicy, MPPPBPolicy),
@@ -128,13 +125,11 @@ _SPECS: dict[str, PolicySpec] = {
             "num_sampled_sets": p.num_sampled_sets,
             "window_factor": p.window_factor,
         }),
-        trains=True,
     ),
     "glider": PolicySpec(
         lambda **kw: GliderPolicy(GliderConfig(**kw)),
         GliderPolicy,
         _glider_kernel,
-        trains=True,
     ),
     "frd": PolicySpec(FRDPolicy, FRDPolicy),
     "mustache": PolicySpec(MustachePolicy, MustachePolicy),
@@ -199,8 +194,11 @@ def make_policy(name: str, **kwargs) -> ReplacementPolicy:
 def register_policy(name: str, factory: Callable[[], ReplacementPolicy]) -> None:
     """Register a custom policy factory (for user extensions and tests).
 
-    The policy has no fast kernel: it replays on the reference engine,
-    and the conformance fuzzer covers it as reference-only.
+    The spec has no kernel of its own, so the conformance fuzzer covers
+    the name as reference-only.  Replays resolve the name through the
+    instance ``factory`` builds: an exact registered class (say
+    :class:`LRUPolicy`) takes that class's kernel, anything else the
+    reference engine.
     """
     if name in _SPECS:
         raise ValueError(f"policy {name!r} is already registered")

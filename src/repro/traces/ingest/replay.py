@@ -47,7 +47,11 @@ from .adapters import IngestStats, open_adapter
 
 __all__ = ["CHECKPOINT_SCHEMA", "StreamReplayResult", "stream_replay"]
 
-CHECKPOINT_SCHEMA = "repro.traces.ingest/checkpoint-v1"
+#: Bumped whenever a pickled kernel's layout changes, so a checkpoint
+#: from an older layout is ignored (the replay restarts) instead of
+#: resuming into mismatched state.  v2: the Hawkeye/Glider samplers
+#: count OPT hits and store each sampled access's prediction.
+CHECKPOINT_SCHEMA = "repro.traces.ingest/checkpoint-v2"
 
 _CKPT_STAGE = "ingest-checkpoint"
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 import pytest
 
 import repro.cache.fastpolicies as fp
-from repro.cache.fastsim import _STREAM_KERNELS, reference_replay
+from repro.cache.fastsim import reference_replay, replay
 from repro.conformance.generators import CaseSpec, generate_stream, spec_config
 from repro.optgen.sampler import OptGenSampler
-from repro.policies.registry import spec_for_instance
 from repro.policies.rrip import DRRIPPolicy
 from repro.policies.ship import SHiPPlusPlusPolicy, SHiPPolicy, pc_signature
 
@@ -30,13 +29,10 @@ def _ref(stream, config, policy):
 
 def _fast(stream, config, policy):
     """Replay on the kernel the policy's registry spec derives from this
-    (non-default) instance — the by-name-only rule for learned policies
-    is bypassed on purpose, to reach their corners."""
-    kind, params = spec_for_instance(policy).kernel(policy)
-    kernel = _STREAM_KERNELS[kind](config, **params)
+    (non-default) instance."""
     events: list = []
-    kernel.feed(stream, events)
-    return kernel.finish(), events
+    stats = replay(stream, policy, config, engine="fast", record=events)
+    return stats, events
 
 
 def _counters(stats):
@@ -102,8 +98,9 @@ def test_hawkeye_parity_under_heavy_window_wraparound():
     config = spec_config(spec)
     from repro.policies.hawkeye import HawkeyePolicy
 
-    policy = HawkeyePolicy(table_bits=8, num_sampled_sets=8, window_factor=2)
-    fast_stats, fast_events = _fast(stream, config, policy)
+    params = dict(table_bits=8, num_sampled_sets=8, window_factor=2)
+    policy = HawkeyePolicy(**params)
+    fast_stats, fast_events = _fast(stream, config, HawkeyePolicy(**params))
     ref_stats, ref_events = _ref(stream, config, policy)
     assert policy.sampler.events_produced > 0, "sampler must actually train"
     assert fast_events == ref_events
@@ -136,7 +133,7 @@ def test_glider_parity_with_saturated_isvm_weights():
         window_factor=2,
     )
     policy = GliderPolicy(glider_config)
-    fast_stats, fast_events = _fast(stream, config, policy)
+    fast_stats, fast_events = _fast(stream, config, GliderPolicy(glider_config))
     ref_stats, ref_events = _ref(stream, config, policy)
     health = policy.isvm.health()
     assert health.max_abs_weight >= 127, (
@@ -163,9 +160,12 @@ def test_ship_parity_under_signature_collisions(plus):
         "stream must have more PCs than SHCT entries to exercise collisions"
     )
     cls = SHiPPlusPlusPolicy if plus else SHiPPolicy
-    policy = cls(signature_bits=2, num_sampled_sets=16)
-    fast_stats, fast_events = _fast(stream, config, policy)
-    ref_stats, ref_events = _ref(stream, config, policy)
+    fast_stats, fast_events = _fast(
+        stream, config, cls(signature_bits=2, num_sampled_sets=16)
+    )
+    ref_stats, ref_events = _ref(
+        stream, config, cls(signature_bits=2, num_sampled_sets=16)
+    )
     assert fast_events == ref_events
     assert _counters(fast_stats) == _counters(ref_stats)
 
@@ -195,8 +195,11 @@ def test_drrip_leader_assignment_parity_across_geometries(num_sets, assoc, leade
     )
     stream = generate_stream(spec)
     config = spec_config(spec)
-    policy = DRRIPPolicy(num_leader_sets=leaders, seed=0)
-    fast_stats, fast_events = _fast(stream, config, policy)
-    ref_stats, ref_events = _ref(stream, config, policy)
+    fast_stats, fast_events = _fast(
+        stream, config, DRRIPPolicy(num_leader_sets=leaders, seed=0)
+    )
+    ref_stats, ref_events = _ref(
+        stream, config, DRRIPPolicy(num_leader_sets=leaders, seed=0)
+    )
     assert fast_events == ref_events
     assert _counters(fast_stats) == _counters(ref_stats)

@@ -13,21 +13,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheConfig, HierarchyConfig, filter_to_llc_stream, simulate_llc
+from repro.cache import CacheConfig, HierarchyConfig, filter_to_llc_stream
 from repro.cache.config import DramConfig, scaled_hierarchy
 from repro.cache.fastsim import (
     FAST_PATH_POLICIES,
     fast_path_kernel,
+    make_stream_kernel,
     reference_replay,
     replay,
     verify_parity,
 )
 from repro.cache.hierarchy import LLCStream
+from repro.core.glider import GliderPolicy
+from repro.obs import metrics
+from repro.obs.instrument import record_policy_introspection
 from repro.policies import (
     BRRIPPolicy,
+    DRRIPPolicy,
     HawkeyePolicy,
     LRUPolicy,
     RandomPolicy,
+    SHiPPolicy,
     SRRIPPolicy,
 )
 from repro.policies.registry import available_policies, make_policy
@@ -131,8 +137,9 @@ def test_subclass_never_takes_fast_path():
         replay(stream, AntiLRU(), _llc(), engine="fast")
 
 
-#: Non-default instances of stateless policies (fast by exact type) and
-#: the learned policies (fast by registry name only).
+#: Instances, fresh per engine: non-default stateless ones, the learned
+#: ones at default and non-default parameters, and Figure 13's
+#: 4-core-scaled OPTgen windows.
 _INSTANCE_CASES = {
     "srrip-bits3": lambda: SRRIPPolicy(bits=3),
     "brrip-bits3-p025-seed7": lambda: BRRIPPolicy(
@@ -140,35 +147,82 @@ _INSTANCE_CASES = {
     ),
     "random-seed9": lambda: RandomPolicy(seed=9),
     "drrip": lambda: make_policy("drrip"),
+    "drrip-bits3-leaders4-psel6": lambda: DRRIPPolicy(
+        bits=3, num_leader_sets=4, psel_bits=6, long_probability=0.25, seed=3
+    ),
     "ship": lambda: make_policy("ship"),
+    "ship-sig6-ctr2-sampled4": lambda: SHiPPolicy(
+        signature_bits=6, counter_bits=2, num_sampled_sets=4
+    ),
     "ship++": lambda: make_policy("ship++"),
     "hawkeye": lambda: make_policy("hawkeye"),
+    "hawkeye-window32": lambda: make_policy("hawkeye", window_factor=32),
     "glider": lambda: make_policy("glider"),
+    "glider-window32": lambda: make_policy("glider", window_factor=32),
 }
+
+
+def _trained_state(policy) -> dict:
+    """Everything a caller can read off a policy after a replay: the
+    trained tables, the prediction scores, the OPTgen summary, the
+    ``introspect()`` payload and the metrics it publishes."""
+    state: dict = {}
+    for attr in ("psel", "shct", "prediction_checks", "prediction_correct"):
+        if hasattr(policy, attr):
+            state[attr] = getattr(policy, attr)
+    if isinstance(policy, HawkeyePolicy):
+        state["predictor"] = list(policy.predictor.table)
+    if isinstance(policy, GliderPolicy):
+        isvm = policy.isvm
+        state["isvm"] = (
+            [list(entry.weights) for entry in isvm._table],
+            isvm.threshold,
+            isvm._window_correct,
+            isvm._window_total,
+            isvm._candidate_scores,
+            isvm.stats,
+        )
+        state["pchr"] = {core: reg.snapshot() for core, reg in policy.pchr.items()}
+    if getattr(policy, "sampler", None) is not None:
+        sampler = policy.sampler
+        state["optgen"] = (
+            sampler.events_produced,
+            sampler.opt_hit_rate(),
+            sampler.occupancy_histogram(),
+        )
+    if hasattr(policy, "introspect"):
+        state["introspect"] = policy.introspect()
+    with metrics.collecting() as registry:
+        record_policy_introspection(policy, benchmark="synthetic")
+        state["metrics"] = registry.snapshot()["metrics"]
+    return state
 
 
 @pytest.mark.parametrize("case", sorted(_INSTANCE_CASES))
 def test_instance_dispatch_rule(case):
-    """Instances resolve by exact type with their *own* parameters;
-    learned instances never take a kernel, so their trained state stays
-    readable after the run (Figure 10 reads it)."""
+    """Every instance resolves by exact type to a kernel built from its
+    *own* parameters, and a fresh instance replayed on it reads the same
+    afterwards as one replayed on the reference engine: events, stats,
+    trained tables, introspection and published metrics."""
     make = _INSTANCE_CASES[case]
-    stream = _synthetic_stream(n=3000, seed=13, line_count=96)
-    config = _llc()
-    if case in ("drrip", "ship", "ship++", "hawkeye", "glider"):
-        assert fast_path_kernel(make()) is None
-        if case == "hawkeye":
-            policy = HawkeyePolicy()
-            simulate_llc(stream, policy, config)
-            assert policy.online_accuracy > 0
-        return
     assert fast_path_kernel(make()) is not None
+    stream = _synthetic_stream(n=3000, seed=13, line_count=96)
+    stream.cores = np.arange(len(stream.pcs), dtype=np.int64) % 4
+    config = _llc()
+    fast_policy, ref_policy = make(), make()
     fast_events: list = []
     ref_events: list = []
-    fast = replay(stream, make(), config, engine="fast", record=fast_events)
-    ref = reference_replay(stream, make(), config, record=ref_events)
+    kernel = make_stream_kernel(fast_policy, config, engine="fast")
+    kernel.feed(stream, fast_events)
+    kernel.stats  # runs finish() too: the write-back must be idempotent
+    fast = kernel.finish()
+    ref = reference_replay(stream, ref_policy, config, record=ref_events)
     assert fast_events == ref_events
     assert fast == ref
+    fast_state = _trained_state(fast_policy)
+    assert fast_state == _trained_state(ref_policy)
+    if isinstance(ref_policy, (HawkeyePolicy, GliderPolicy)):
+        assert ref_policy.prediction_checks > 0, "the predictor must train"
 
 
 @settings(max_examples=25, deadline=None)
@@ -187,81 +241,6 @@ def test_parity_property(seed, n, line_count, wb, geometry, policy):
         n=n, seed=seed, line_count=line_count, writeback_fraction=wb
     )
     verify_parity(stream, policy, _llc(*geometry))
-
-
-def _stats_tuple(stats):
-    return (stats.demand_hits, stats.demand_misses, stats.writeback_hits,
-            stats.writeback_misses, stats.bypasses, stats.evictions,
-            stats.dirty_evictions)
-
-
-def test_auto_engine_falls_back_on_runtime_parity_error(monkeypatch):
-    """A fast kernel that trips EngineParityError at runtime must cost
-    speed, not the run: engine="auto" degrades to the reference engine
-    with a warning; engine="fast" still raises."""
-    from repro.cache import fastsim
-    from repro.cache.fastsim import EngineParityError
-
-    stream = _synthetic_stream(n=800, seed=4)
-    config = _llc()
-    expected = reference_replay(stream, make_policy("lru"), config)
-
-    class BrokenKernel:
-        def __init__(self, cfg, **params):
-            pass
-
-        def feed(self, stream, record=None):
-            raise EngineParityError("self-check tripped")
-
-    monkeypatch.setitem(fastsim._STREAM_KERNELS, "lru", BrokenKernel)
-    with pytest.warns(RuntimeWarning, match="parity"):
-        record: list = []
-        stats = replay(stream, "lru", config, engine="auto", record=record)
-    assert _stats_tuple(stats) == _stats_tuple(expected)
-    assert len(record) == 800  # the fallback's events, not a partial mix
-    with pytest.raises(EngineParityError):
-        replay(stream, "lru", config, engine="fast")
-
-
-def test_verify_mode_cross_checks_both_engines(monkeypatch):
-    """verify=True replays on both engines and compares access-by-access:
-    a kernel that silently diverges is caught (and auto still degrades
-    gracefully instead of raising)."""
-    from repro.cache import fastsim
-    from repro.cache.fastsim import EngineParityError
-
-    stream = _synthetic_stream(n=600, seed=12)
-    config = _llc()
-    expected = reference_replay(stream, make_policy("lru"), config)
-
-    # A healthy kernel passes the cross-check silently.
-    stats = replay(stream, "lru", config, engine="auto", verify=True)
-    assert _stats_tuple(stats) == _stats_tuple(expected)
-
-    class SilentKernel:
-        """Right stats, but records no events: the cross-check must trip."""
-
-        def __init__(self, cfg, **params):
-            self.cfg = cfg
-
-        def feed(self, s, record=None):
-            self.stats = reference_replay(s, make_policy("lru"), self.cfg)
-
-        def finish(self):
-            return self.stats
-
-    monkeypatch.setitem(fastsim._STREAM_KERNELS, "lru", SilentKernel)
-    with pytest.warns(RuntimeWarning):
-        stats = replay(stream, "lru", config, engine="auto", verify=True)
-    assert _stats_tuple(stats) == _stats_tuple(expected)
-    with pytest.raises(EngineParityError):
-        replay(stream, "lru", config, engine="fast", verify=True)
-
-
-def test_verify_requires_a_registry_name_policy():
-    stream = _synthetic_stream(n=200, seed=1)
-    with pytest.raises(ValueError):
-        replay(stream, make_policy("lru"), _llc(), engine="auto", verify=True)
 
 
 def _store_heavy_trace(n: int = 5000, seed: int = 9) -> Trace:

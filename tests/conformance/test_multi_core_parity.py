@@ -19,6 +19,7 @@ from repro.cache.config import DramConfig
 from repro.conformance.invariants import InvariantViolation, checked_multi_core
 from repro.conformance.multi_core import reference_multi_core
 from repro.cpu.system import MultiCoreSystem, core_streams
+from repro.eval.multicore import _make_mix_policy
 from repro.eval.runner import ExperimentConfig
 from repro.policies.registry import available_policies, make_policy
 from repro.traces import Trace
@@ -153,7 +154,10 @@ def test_fast_path_builds_no_reference_cache(monkeypatch, traces):
     monkeypatch.setattr(cache.SetAssociativeCache, "__init__", refuse)
     monkeypatch.setattr(hierarchy.CacheHierarchy, "__init__", refuse)
     mix = [traces[name] for name in BENCHMARKS]
-    for policy in ("lru", "ship++", "hawkeye", "glider"):
+    policies = ["lru", "ship++", "hawkeye", "glider"]
+    # Figure 13's instances, with 4-core-scaled OPTgen windows.
+    policies += [_make_mix_policy(name, 4) for name in ("hawkeye", "glider")]
+    for policy in policies:
         MultiCoreSystem(mix, CONFIG.hierarchy(cores=4), policy).run(500)
 
 

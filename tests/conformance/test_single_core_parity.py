@@ -21,7 +21,9 @@ from repro.cache.config import DramConfig
 from repro.conformance.invariants import InvariantViolation, checked_single_core
 from repro.conformance.single_core import reference_single_core
 from repro.cpu.system import SingleCoreSystem
-from repro.eval.runner import ExperimentConfig
+from repro.eval.accuracy import _online_accuracy_benchmark
+from repro.eval.multicore import _make_mix_policy
+from repro.eval.runner import ArtifactCache, ExperimentConfig
 from repro.policies.registry import available_policies, make_policy
 from repro.traces import Trace
 from repro.traces.suite import get_trace
@@ -146,7 +148,9 @@ def test_prefiltered_stream_matches_own_filter(traces):
 
 def test_fast_path_builds_no_reference_cache(monkeypatch, traces):
     """With equal line sizes and a kernel policy, no object-based cache
-    level is constructed: filter, kernel and timing pass do all the work."""
+    level is constructed: filter, kernel and timing pass do all the work.
+    The same holds for Figure 13's scaled-window instances and for
+    Figure 10, which reads trained state off its instances."""
     from repro.cache import cache, hierarchy
 
     def refuse(*args, **kwargs):
@@ -154,8 +158,12 @@ def test_fast_path_builds_no_reference_cache(monkeypatch, traces):
 
     monkeypatch.setattr(cache.SetAssociativeCache, "__init__", refuse)
     monkeypatch.setattr(hierarchy.CacheHierarchy, "__init__", refuse)
-    for policy in ("lru", "hawkeye", "glider"):
+    policies = ["lru", "hawkeye", "glider"]
+    policies += [_make_mix_policy(name, 4) for name in ("hawkeye", "glider")]
+    for policy in policies:
         SingleCoreSystem(CONFIG.hierarchy(), policy).run(traces["lbm"])
+    result = _online_accuracy_benchmark("lbm", cache=ArtifactCache(CONFIG))
+    assert 0 < result.hawkeye <= 1 and 0 < result.glider <= 1
 
 
 class _SkippingBus:
