@@ -2,11 +2,12 @@
 
 :mod:`repro.cache.fastsim` dispatches into this module for the policies
 whose victim choice depends on *learned* state — DRRIP's set-duelling
-PSEL, SHiP/SHiP++'s signature outcome table, and the Hawkeye/Glider
-OPTgen-trained predictors.  Each kernel keeps the same structure-of-
-arrays layout as the stateless kernels (flat per-set tag/dirty/RRPV
-lists, set/tag splitting and PC hashing vectorized up front with NumPy)
-and adds exactly the per-line and global state its policy needs:
+PSEL, SHiP/SHiP++'s signature outcome table, the Hawkeye/Glider
+OPTgen-trained predictors, and the MPPPB/Perceptron hashed perceptrons.
+Each kernel keeps the same structure-of-arrays layout as the stateless
+kernels (flat per-set tag/dirty/RRPV lists, set/tag splitting and PC
+hashing vectorized up front with NumPy) and adds exactly the per-line
+and global state its policy needs:
 
 * ``drrip``   — RRPV lists + leader-set role array + one PSEL counter.
 * ``ship``    — RRPV lists + per-line signature/outcome + the SHCT.
@@ -15,6 +16,10 @@ and adds exactly the per-line and global state its policy needs:
 * ``glider``  — Hawkeye's layout with the counter table replaced by the
   ISVM weight table, per-core PCHR kept as parallel (pc, hash) lists,
   and per-line insertion-context tuples for eviction detraining.
+* ``perceptron`` — MPPPB and Perceptron: RRPV lists + one flat list of
+  per-feature weight tables + the LRU training sampler as parallel
+  per-set lists + the global demand-PC history; the policies differ
+  only in their feature list, clamps, θ and decision thresholds.
 
 Parity is the contract: every kernel reproduces the reference engine's
 event stream ``(hit, bypassed, way, evicted_tag, evicted_dirty)``
@@ -30,17 +35,25 @@ Trained state: a kernel built from a caller's policy instance (its
 :meth:`_StreamKernel.finish` — PSEL, SHCT, predictor counters, ISVM
 weights/threshold/statistics, PCHRs, prediction scores, and the flat
 OPTgen sampler itself, which answers the reference sampler's
-``events_produced``/``opt_hit_rate()``/``occupancy_histogram()``.  The
-write-back overwrites rather than accumulates, so ``finish`` may run any
-number of times.  The instance must be fresh when the kernel is built:
-kernels start from the spec's parameters, not from existing state.
+``events_produced``/``opt_hit_rate()``/``occupancy_histogram()``, and
+the perceptron weights, demand-PC history, sampler clock and training
+sampler entries.  The write-back overwrites rather than accumulates, so
+``finish`` may run any number of times.  The instance must be fresh when
+the kernel is built: kernels start from the spec's parameters, not from
+existing state.
 
 Hash/context representation: the reference engine stores raw PCs and
 hashes them at every prediction/training; the kernels hash each access's
 PC once, up front, and store the *hashed* forms (predictor index, ISVM
-entry index, 4-bit weight hash) per line and per sampler entry.  This is
+entry index, 4-bit weight hash) per line and per sampler entry.  The
+perceptron kernel goes one step further: an access's whole context is
+the tuple of its flat weight indices, one per feature — the static
+features (PC, page, PC xor page, tag bits, offset) hashed for the whole
+stream in :meth:`_PerceptronKernel.decode`, the history features
+memoized by history tuple — and a sampler entry stores that tuple, so
+training sums and updates weights without hashing.  This is
 behaviour-preserving because every reference consumer applies the same
-pure hash to the same stored PC.
+pure hash to the same stored values.
 """
 
 from __future__ import annotations
@@ -48,6 +61,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import insight as obs_insight
+from ..policies.perceptron import _mix, _SamplerEntry
 from .config import CacheConfig
 from .stats import CacheStats
 
@@ -57,6 +71,7 @@ __all__ = [
     "_ShipKernel",
     "_HawkeyeKernel",
     "_GliderKernel",
+    "_PerceptronKernel",
 ]
 
 _KIND_LOAD, _KIND_STORE, _KIND_WRITEBACK = 0, 1, 2
@@ -89,6 +104,8 @@ class _StreamKernel:
     #: The caller's policy instance the kernel was built from, if any;
     #: :meth:`finish` writes trained state back into it.
     policy = None
+    #: Bypassed misses; only kernels whose policy can bypass count them.
+    byp = 0
 
     def decode(self, stream) -> tuple:
         return _decode_stream(stream, self.config)
@@ -114,6 +131,7 @@ class _StreamKernel:
         stats.demand_misses = self.dm
         stats.writeback_hits = self.wh
         stats.writeback_misses = self.wm
+        stats.bypasses = self.byp
         stats.evictions = self.ev
         stats.dirty_evictions = self.dev
         stats.per_core_hits = self.pch
@@ -1432,3 +1450,378 @@ def _glider_feed(kernel, columns, record) -> None:
     kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
         dh, dm, wh, wm, ev, dev
     )
+
+
+# -- hashed perceptron (MPPPB / Perceptron) -----------------------------------
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Cap on the history-context memo; clearing it only costs recomputation.
+_HISTORY_MEMO_CAP = 4096
+
+#: Static feature sources: the value a weight table is indexed by, as a
+#: function of the access's uint64 ``pcs``/``addresses`` columns.  The
+#: history sources (``("hist", i)``: the i-th most recent demand PC, 0
+#: when absent; ``("fold", n)``: ``mpppb._fold`` of the first n) depend
+#: on live state and are computed per access.
+_STATIC_SOURCES = {
+    "pc": lambda pcs, addresses: pcs,
+    "page": lambda pcs, addresses: addresses >> np.uint64(12),
+    "pc^page": lambda pcs, addresses: pcs ^ (addresses >> np.uint64(12)),
+    "tag16": lambda pcs, addresses: (addresses >> np.uint64(6)) & np.uint64(0xFFFF),
+    "offset6": lambda pcs, addresses: (addresses >> np.uint64(6)) & np.uint64(0x3F),
+}
+
+
+def _mix_column(values: np.ndarray, salt: int, bits: int) -> np.ndarray:
+    """Whole-column port of ``perceptron._mix`` (uint64 wraps like its mask)."""
+    x = values ^ np.uint64((salt * 0x9E3779B97F4A7C15) & _MASK64)
+    x = x ^ (x >> np.uint64(12))
+    x = x * np.uint64(0xD6E8FEB86659FD93)
+    x = x ^ (x >> np.uint64(25))
+    return x & np.uint64((1 << bits) - 1)
+
+
+class _PerceptronKernel(_StreamKernel):
+    """Hashed-perceptron fast kernel for MPPPB and Perceptron.
+
+    The two policies share an RRIP substrate, an LRU sampler (the tags
+    of ``sampler_assoc`` recent blocks per sampled set) that trains
+    per-feature weight tables with the θ-gated perceptron rule,
+    and a per-access weight sum ``yout``; they differ only in their
+    ``features`` (each a ``(source, salt)`` pair, see
+    :data:`_STATIC_SOURCES`), weight clamps, θ and the thresholds that
+    map ``yout`` to a bypass, a hit promotion and a fill RRPV:
+
+    * a demand miss to a full set bypasses when ``yout > bypass_above``
+      (None: never);
+    * a demand hit sets RRPV 0 when ``yout <= promote_at_most``, keeps
+      ``min(max_rrpv - 1, rrpv)`` below ``hold_below`` and goes distant
+      otherwise;
+    * a demand fill goes to ``max_rrpv``, ``max_rrpv - 1`` or
+      ``max_rrpv // 2`` by the first of the three ``fill_cuts`` that
+      ``yout`` exceeds, and to 0 when it exceeds none.
+
+    Writebacks neither train nor predict: a writeback hit keeps its
+    RRPV and a writeback fill goes distant.
+
+    The weight tables are one flat ``int`` list (feature ``f`` at offset
+    ``f << table_bits``) and an access's context is the tuple of its
+    flat indices: static features hashed up front in :meth:`decode`,
+    history features memoized by history tuple.  Sampler entries store
+    that tuple, so training never re-hashes, and ``yout`` is summed once
+    per demand access, after the sampler trains — the reference's
+    ``on_hit``/``victim``/``on_fill`` predictions all read those same
+    weights.
+    """
+
+    def __init__(
+        self,
+        config: CacheConfig,
+        features: tuple,
+        table_bits: int,
+        theta: int,
+        weight_min: int,
+        weight_max: int,
+        max_rrpv: int,
+        history_length: int,
+        num_sampler_sets: int,
+        sampler_assoc: int,
+        bypass_above: int | None,
+        promote_at_most: int,
+        hold_below: int,
+        fill_cuts: tuple[int, int, int],
+    ) -> None:
+        num_sets, assoc = config.num_sets, config.associativity
+        self.config = config
+        self.table_bits = table_bits
+        self.theta = theta
+        self.weight_min = weight_min
+        self.weight_max = weight_max
+        self.max_rrpv = max_rrpv
+        self.history_length = history_length
+        self.bypass_above = bypass_above
+        self.promote_at_most = promote_at_most
+        self.hold_below = hold_below
+        self.fill_cuts = fill_cuts
+        # Feature f's table starts at flat offset f << table_bits.
+        static, positions, folds = [], [], []
+        for f, (source, salt) in enumerate(features):
+            if isinstance(source, str):
+                static.append((f << table_bits, source, salt))
+            elif source[0] == "hist":
+                positions.append((f << table_bits, source[1], salt))
+            else:
+                folds.append((f << table_bits, source[1], salt))
+        self.static_features = tuple(static)
+        self.position_features = tuple(positions)
+        self.fold_features = tuple(sorted(folds, key=lambda feature: feature[1]))
+        self.weights = [0] * (len(features) << table_bits)
+        count = min(num_sampler_sets, num_sets)
+        stride = max(1, num_sets // count)
+        self.sampler_of_set = [-1] * num_sets
+        for i in range(count):
+            self.sampler_of_set[i * stride] = i
+        # Sampler entries as parallel per-set lists (tag -1: invalid).
+        self.s_tag = [[-1] * sampler_assoc for _ in range(count)]
+        self.s_lru = [[0] * sampler_assoc for _ in range(count)]
+        self.s_ctx = [[()] * sampler_assoc for _ in range(count)]
+        self.s_pc = [[0] * sampler_assoc for _ in range(count)]
+        self.s_hist = [[()] * sampler_assoc for _ in range(count)]
+        self.s_addr = [[0] * sampler_assoc for _ in range(count)]
+        self.clock = 0
+        self.history: tuple = ()
+        self.inflight: tuple = ()
+        self.memo: dict = {}
+        self.pc_rows: dict = {}
+        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
+        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
+        self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
+        self.fill_count = [0] * num_sets
+        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
+        self.byp = 0
+        self.pch: dict[int, int] = {}
+        self.pcm: dict[int, int] = {}
+
+    def decode(self, stream) -> tuple:
+        pcs = stream.pcs.astype(np.uint64)
+        addresses = stream.addresses.astype(np.uint64)
+        bits = self.table_bits
+        columns = [
+            (
+                _mix_column(_STATIC_SOURCES[source](pcs, addresses), salt, bits)
+                + np.uint64(offset)
+            ).astype(np.int64).tolist()
+            for offset, source, salt in self.static_features
+        ]
+        return _decode_stream(stream, self.config) + (
+            stream.pcs.tolist(),
+            stream.addresses.tolist(),
+            _line_numbers(stream),
+            list(zip(*columns)),
+        )
+
+    def _history_context(self, history: tuple) -> tuple:
+        """Flat indices of the history features for ``history``.
+
+        A history position reads the PC there (0 when absent), hashed
+        once per distinct PC; the folds (``mpppb._fold`` of the first n
+        PCs) share one running pass over the history.
+        """
+        bits = self.table_bits
+        rows = self.pc_rows
+        context = []
+        for k, (_, n, _) in enumerate(self.position_features):
+            pc = history[n] if n < len(history) else 0
+            row = rows.get(pc)
+            if row is None:
+                row = rows[pc] = tuple(
+                    offset + _mix(pc, salt, bits)
+                    for offset, _, salt in self.position_features
+                )
+            context.append(row[k])
+        fold = i = 0
+        for offset, n, salt in self.fold_features:
+            for v in history[i:n]:
+                fold ^= (v << (i % 7)) & _MASK64
+                i += 1
+            context.append(offset + _mix(fold, salt, bits))
+        return tuple(context)
+
+    def _run(self, columns, record) -> None:
+        _perceptron_feed(self, columns, record, 0, len(columns[0]))
+
+    def step(self, columns: tuple, i: int, access_index: int = 0) -> bool:
+        # One access in place: no per-step column slicing.
+        event: list = []
+        _perceptron_feed(self, columns, event, i, i + 1)
+        return event[0][0] == 1
+
+    def _write_back(self, policy) -> None:
+        size = 1 << self.table_bits
+        weights = self.weights
+        for f, feature in enumerate(policy.predictor.features):
+            feature.weights = weights[f * size : (f + 1) * size]
+        policy.history.clear()
+        policy.history.extend(self.history)
+        policy._inflight_history = self.inflight
+        policy._clock = self.clock
+        policy._sampled_sets = {
+            s: i for s, i in enumerate(self.sampler_of_set) if i >= 0
+        }
+        policy._sampler = [
+            [
+                _SamplerEntry(tag, pc, hist, address, lru, tag != -1)
+                for tag, pc, hist, address, lru in zip(*entries)
+            ]
+            for entries in zip(
+                self.s_tag, self.s_pc, self.s_hist, self.s_addr, self.s_lru
+            )
+        ]
+
+
+def _perceptron_feed(kernel, columns, record, start: int, stop: int) -> None:
+    sets, tags, kinds, cores, pcs, addresses, blocks, static = columns
+    assoc = kernel.config.associativity
+    max_rrpv = kernel.max_rrpv
+    hold_rrpv = max_rrpv - 1
+    mid_rrpv = max_rrpv // 2
+    bypass_above = kernel.bypass_above
+    promote_at_most = kernel.promote_at_most
+    hold_below = kernel.hold_below
+    cut_far, cut_long, cut_mid = kernel.fill_cuts
+    weights = kernel.weights
+    weight_of = weights.__getitem__
+    theta = kernel.theta
+    wmin = kernel.weight_min
+    wmax = kernel.weight_max
+    keep = kernel.history_length - 1
+    history = kernel.history
+    inflight = kernel.inflight
+    memo = kernel.memo
+    history_context = kernel._history_context
+    sampler_of_set = kernel.sampler_of_set
+    s_tag = kernel.s_tag
+    s_lru = kernel.s_lru
+    s_ctx = kernel.s_ctx
+    s_pc = kernel.s_pc
+    s_hist = kernel.s_hist
+    s_addr = kernel.s_addr
+    clock = kernel.clock
+    tag_t = kernel.tag_t
+    dirty_t = kernel.dirty_t
+    rrpv_t = kernel.rrpv_t
+    fill_count = kernel.fill_count
+    dh, dm, wh, wm, ev, dev, byp = (
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm,
+        kernel.ev, kernel.dev, kernel.byp,
+    )
+    pch = kernel.pch
+    pcm = kernel.pcm
+    # Every demand access sets yout before reading it; writebacks never
+    # read it.
+    yout = 0
+    for i in range(start, stop):
+        s = sets[i]
+        t = tags[i]
+        k = kinds[i]
+        if k != _KIND_WRITEBACK:
+            # on_access: the context reads the pre-append history.
+            hctx = memo.get(history)
+            if hctx is None:
+                if len(memo) >= _HISTORY_MEMO_CAP:
+                    memo.clear()
+                hctx = memo[history] = history_context(history)
+            ctx = static[i] + hctx
+            si = sampler_of_set[s]
+            if si >= 0:
+                clock += 1
+                stags = s_tag[si]
+                b = blocks[i]
+                if b in stags:
+                    j = stags.index(b)
+                    # Reused: train toward "live" (delta -1).
+                    old = s_ctx[si][j]
+                    tot = sum(map(weight_of, old))
+                    if tot > 0 or -theta < tot < theta:
+                        for x in old:
+                            v = weights[x] - 1
+                            weights[x] = (
+                                wmin if v < wmin else (wmax if v > wmax else v)
+                            )
+                else:
+                    if -1 in stags:
+                        j = stags.index(-1)
+                    else:
+                        lru = s_lru[si]
+                        j = lru.index(min(lru))
+                        # Evicted unreused: train toward "dead" (+1).
+                        old = s_ctx[si][j]
+                        tot = sum(map(weight_of, old))
+                        if tot <= 0 or -theta < tot < theta:
+                            for x in old:
+                                v = weights[x] + 1
+                                weights[x] = (
+                                    wmin if v < wmin else (wmax if v > wmax else v)
+                                )
+                    stags[j] = b
+                s_ctx[si][j] = ctx
+                s_pc[si][j] = pcs[i]
+                s_hist[si][j] = history
+                s_addr[si][j] = addresses[i]
+                s_lru[si][j] = clock
+            # Every prediction of this access reads the trained weights.
+            yout = sum(map(weight_of, ctx))
+            inflight = history
+            if keep >= 0:
+                history = (pcs[i],) + history[:keep]
+        row = tag_t[s]
+        if t in row:
+            w = row.index(t)
+            if k != _KIND_LOAD:
+                dirty_t[s][w] = True
+            if k != _KIND_WRITEBACK:
+                if yout <= promote_at_most:
+                    rrpv_t[s][w] = 0
+                elif yout < hold_below:
+                    if rrpv_t[s][w] > hold_rrpv:
+                        rrpv_t[s][w] = hold_rrpv
+                else:
+                    rrpv_t[s][w] = max_rrpv
+                dh += 1
+                c = cores[i]
+                pch[c] = pch.get(c, 0) + 1
+            else:
+                wh += 1
+            if record is not None:
+                record.append((1, 0, w, -1, 0))
+            continue
+        if k != _KIND_WRITEBACK:
+            dm += 1
+            c = cores[i]
+            pcm[c] = pcm.get(c, 0) + 1
+        else:
+            wm += 1
+        ev_tag, ev_dirty = -1, False
+        if fill_count[s] < assoc:
+            w = row.index(-1)
+            fill_count[s] += 1
+        else:
+            if (
+                k != _KIND_WRITEBACK
+                and bypass_above is not None
+                and yout > bypass_above
+            ):
+                byp += 1
+                if record is not None:
+                    record.append((0, 1, -1, -1, 0))
+                continue
+            # rrip_victim in one step: age every line until the oldest
+            # reaches max_rrpv, then evict the first line at max_rrpv.
+            rr = rrpv_t[s]
+            oldest = max(rr)
+            if oldest < max_rrpv:
+                age = max_rrpv - oldest
+                rr[:] = [v + age for v in rr]
+            w = rr.index(max_rrpv)
+            ev_tag, ev_dirty = row[w], dirty_t[s][w]
+            ev += 1
+            if ev_dirty:
+                dev += 1
+        row[w] = t
+        dirty_t[s][w] = k != _KIND_LOAD
+        if k == _KIND_WRITEBACK or yout > cut_far:
+            rrpv_t[s][w] = max_rrpv
+        elif yout > cut_long:
+            rrpv_t[s][w] = hold_rrpv
+        elif yout > cut_mid:
+            rrpv_t[s][w] = mid_rrpv
+        else:
+            rrpv_t[s][w] = 0
+        if record is not None:
+            record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    kernel.history = history
+    kernel.inflight = inflight
+    kernel.clock = clock
+    kernel.dh, kernel.dm, kernel.wh, kernel.wm = dh, dm, wh, wm
+    kernel.ev, kernel.dev, kernel.byp = ev, dev, byp

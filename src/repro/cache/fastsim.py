@@ -13,7 +13,8 @@ This module provides:
   set (no per-line objects, no per-access allocation, set/tag splitting
   vectorized up front with NumPy).  The stateless kernels (LRU, MRU,
   random, SRRIP, BRRIP) live here, the learned ones (DRRIP, SHiP,
-  SHiP++, Hawkeye, Glider) in :mod:`repro.cache.fastpolicies`.  Which
+  SHiP++, Hawkeye, Glider, and one hashed-perceptron kernel for MPPPB
+  and Perceptron) in :mod:`repro.cache.fastpolicies`.  Which
   policy takes which kernel, with which parameters, is declared once by
   ``kernel=`` on its :class:`~repro.policies.registry.PolicySpec`.
 * **A shared engine protocol** — :func:`replay` dispatches a policy
@@ -59,6 +60,7 @@ from .fastpolicies import (
     _DRRIPKernel,
     _GliderKernel,
     _HawkeyeKernel,
+    _PerceptronKernel,
     _ShipKernel,
     _StreamKernel,
 )
@@ -83,10 +85,11 @@ __all__ = [
 #: :mod:`repro.cache.fastpolicies`).
 FAST_PATH_POLICIES = tuple(n for n, spec in policy_specs().items() if spec.kernel)
 
-#: Registry names without a kernel: policies whose victim choice depends
-#: on hook-level state the flat kernels do not model (dead-block and
-#: perceptron samplers, the per-set reuse-distance heads of the frd
-#: family).  They replay on the reference engine.
+#: Registry names without a kernel: SDBP, whose LRU-by-last-touch
+#: substrate and skewed three-table predictor no kernel models yet, and
+#: the frd family, whose per-set reuse-distance heads live in hook-level
+#: state.  No paper figure runs them; they replay on the reference
+#: engine.
 REFERENCE_ONLY_POLICIES = tuple(
     n for n, spec in policy_specs().items() if spec.kernel is None
 )
@@ -145,7 +148,8 @@ def fast_path_kernel(policy) -> tuple[str, dict] | None:
     kernel starts from the spec's parameters, not from the instance's
     current state.  A kernel built from a caller's instance writes the
     state it trains (PSEL, SHCT, predictor counters, ISVM weights, the
-    OPTgen sampler, prediction scores) back into it at ``finish()``.
+    OPTgen sampler, prediction scores, perceptron weights with their
+    history and training sampler) back into it at ``finish()``.
     """
     if isinstance(policy, str):
         policy = make_policy(policy)
@@ -464,6 +468,7 @@ _STREAM_KERNELS = {
     "ship": _ShipKernel,
     "hawkeye": _HawkeyeKernel,
     "glider": _GliderKernel,
+    "perceptron": _PerceptronKernel,
 }
 
 

@@ -291,7 +291,8 @@ def simulate_llc(
     Dispatches through :func:`repro.cache.fastsim.replay`.  A registry
     name is shorthand for a fresh instance, and an instance of a class
     with a kernel (LRU/MRU/random/SRRIP/BRRIP/DRRIP/SHiP/SHiP++/Hawkeye/
-    Glider) takes it, built from the instance's own parameters.  A
+    Glider/MPPPB/Perceptron) takes it, built from the instance's own
+    parameters.  A
     learned kernel writes its trained state back into the instance, so
     e.g. ``policy.online_accuracy`` reads the same as after a reference
     replay.  Everything else runs the reference engine.  Both engines

@@ -194,10 +194,11 @@ def replay_entry(entry: CorpusEntry, invariant_every: int = 64) -> list[str]:
     return problems
 
 
-#: One reference-only policy per sentinel so the corpus also pins the
-#: policies without fast kernels, without replaying all 13 on every
-#: entry.  (Hawkeye/Glider/SHiP++/DRRIP used to sit here; they are
-#: fast-path now and every sentinel parity-checks them already.)
+#: One extra policy per family sentinel, appended to the fast-path
+#: list the sentinel was seeded with.  sdbp is reference-only, so the
+#: pointer-chase and set-camp sentinels replay it invariant-checked;
+#: perceptron and mpppb have kernels now, so the scan/zipf/thrash/mix
+#: sentinels parity-check them through ``verify_parity`` instead.
 _SENTINEL_REFERENCE_POLICY = {
     "pointer-chase": "sdbp",
     "scan": "perceptron",
@@ -243,9 +244,9 @@ def seed_corpus(corpus_dir: str | Path | None = None, length: int = 400) -> list
 #: decision machinery (duelling sets for DRRIP, signature reuse skew
 #: for SHiP, scan-resistance for SHiP++/Hawkeye/Glider, reuse-distance
 #: regression for frd, periodic gaps for mustache, dead-on-admission
-#: bypass for deap).  Fast-path names come first so their seed-scan
-#: indices — and therefore the checked-in sentinel bytes — are stable
-#: as reference-only names are appended.
+#: bypass for deap and MPPPB).  A policy's seed-scan index is its
+#: position here, so new names go at the end: the checked-in sentinel
+#: bytes of the earlier ones stay stable.
 _POLICY_SENTINEL_FAMILY = {
     "drrip": "set-camp",
     "ship": "zipf",
@@ -255,6 +256,7 @@ _POLICY_SENTINEL_FAMILY = {
     "frd": "zipf",
     "mustache": "scan",
     "deap": "thrash",
+    "mpppb": "thrash",
 }
 
 
@@ -266,8 +268,8 @@ def seed_policy_sentinels(
     Each entry is the (near-)minimal substream on which the policy's
     replay still *distinguishes itself* from plain LRU — so the
     sentinel pins policy-specific decision paths (set duelling, SHCT
-    training, OPTgen verdicts, ISVM sums, reuse-distance buckets), not
-    just generic cache bookkeeping.  The tier-1 corpus test replays
+    training, OPTgen verdicts, ISVM and perceptron sums, reuse-distance
+    buckets), not just generic cache bookkeeping.  The tier-1 corpus test replays
     every one of them: fast-path policies through ``verify_parity``,
     access-by-access, on both engines; reference-only policies (the frd
     family among them) through the invariant-checked reference replay.
@@ -276,17 +278,13 @@ def seed_policy_sentinels(
     a pure predicate, and ddmin's deterministic schedule always produce
     the same minimized bytes and store keys.
     """
-    from ..cache.fastsim import REFERENCE_ONLY_POLICIES, replay
+    from ..cache.fastsim import replay
     from .generators import generate_stream, spec_config
     from .shrink import shrink_stream
 
     corpus_dir = Path(corpus_dir or default_corpus_dir())
     paths = []
-    sentinel_policies = [
-        p for p in FAST_PATH_POLICIES if p in _POLICY_SENTINEL_FAMILY
-    ] + [p for p in REFERENCE_ONLY_POLICIES if p in _POLICY_SENTINEL_FAMILY]
-    for i, policy in enumerate(sentinel_policies):
-        family = _POLICY_SENTINEL_FAMILY[policy]
+    for i, (policy, family) in enumerate(_POLICY_SENTINEL_FAMILY.items()):
 
         def distinguishes(sub, policy=policy):
             if len(sub) == 0:

@@ -32,6 +32,8 @@ from repro.policies import (
     DRRIPPolicy,
     HawkeyePolicy,
     LRUPolicy,
+    MPPPBPolicy,
+    PerceptronPolicy,
     RandomPolicy,
     SHiPPolicy,
     SRRIPPolicy,
@@ -159,7 +161,20 @@ _INSTANCE_CASES = {
     "hawkeye-window32": lambda: make_policy("hawkeye", window_factor=32),
     "glider": lambda: make_policy("glider"),
     "glider-window32": lambda: make_policy("glider", window_factor=32),
+    "mpppb": lambda: make_policy("mpppb"),
+    "mpppb-bits8-hist4-sampled4-bypass0": lambda: MPPPBPolicy(
+        table_bits=8, history_length=4, num_sampler_sets=4, bypass_threshold=0
+    ),
+    "perceptron": lambda: make_policy("perceptron"),
+    "perceptron-bypass-hist2": lambda: PerceptronPolicy(
+        allow_bypass=True, history_length=2
+    ),
 }
+
+#: Cases that must bypass, replayed on a stream with 512 distinct lines
+#: instead of 96 so the sampler sees dead blocks; event and stats parity
+#: then cover the kernels' bypass path.
+_BYPASSING_CASES = {"mpppb-bits8-hist4-sampled4-bypass0", "perceptron-bypass-hist2"}
 
 
 def _trained_state(policy) -> dict:
@@ -183,6 +198,16 @@ def _trained_state(policy) -> dict:
             isvm.stats,
         )
         state["pchr"] = {core: reg.snapshot() for core, reg in policy.pchr.items()}
+    if isinstance(policy, (MPPPBPolicy, PerceptronPolicy)):
+        state["weights"] = [list(f.weights) for f in policy.predictor.features]
+        state["history"] = (list(policy.history), policy.history.maxlen)
+        state["inflight_history"] = policy._inflight_history
+        state["clock"] = policy._clock
+        state["sampled_sets"] = policy._sampled_sets
+        state["sampler"] = [
+            [(e.tag, e.pc, e.history, e.address, e.lru, e.valid) for e in entries]
+            for entries in policy._sampler
+        ]
     if getattr(policy, "sampler", None) is not None:
         sampler = policy.sampler
         state["optgen"] = (
@@ -206,7 +231,8 @@ def test_instance_dispatch_rule(case):
     trained tables, introspection and published metrics."""
     make = _INSTANCE_CASES[case]
     assert fast_path_kernel(make()) is not None
-    stream = _synthetic_stream(n=3000, seed=13, line_count=96)
+    line_count = 512 if case in _BYPASSING_CASES else 96
+    stream = _synthetic_stream(n=3000, seed=13, line_count=line_count)
     stream.cores = np.arange(len(stream.pcs), dtype=np.int64) % 4
     config = _llc()
     fast_policy, ref_policy = make(), make()
@@ -223,6 +249,12 @@ def test_instance_dispatch_rule(case):
     assert fast_state == _trained_state(ref_policy)
     if isinstance(ref_policy, (HawkeyePolicy, GliderPolicy)):
         assert ref_policy.prediction_checks > 0, "the predictor must train"
+    if isinstance(ref_policy, (MPPPBPolicy, PerceptronPolicy)):
+        assert any(
+            any(f.weights) for f in ref_policy.predictor.features
+        ), "the predictor must train"
+    if case in _BYPASSING_CASES:
+        assert ref.bypasses > 0, "the case must exercise the bypass path"
 
 
 @settings(max_examples=25, deadline=None)

@@ -39,11 +39,11 @@ def test_corpus_is_shipped_and_covers_every_family():
 def test_corpus_has_a_sentinel_per_learned_policy():
     """Each learned policy is pinned by a ddmin-shrunk sentinel of its
     own (beyond the family sentinels that parity-check every fast-path
-    policy): the fast-path five plus the reference-only reuse-distance
-    family."""
+    policy): the six fast-path learned policies plus the reference-only
+    reuse-distance family."""
     names = {benchmark for benchmark, _ in ENTRIES}
     for policy in (
-        "drrip", "ship", "ship++", "hawkeye", "glider",
+        "drrip", "ship", "ship++", "hawkeye", "glider", "mpppb",
         "frd", "mustache", "deap",
     ):
         assert f"sentinel-{policy}" in names, (
@@ -86,8 +86,8 @@ def test_seeding_is_idempotent(tmp_path):
     second = seed_corpus(tmp_path, length=120)
     assert sorted(p.name for p in first) == sorted(p.name for p in second)
     # One sentinel per generator family plus one per learned policy
-    # (five fast-path + the three reference-only reuse-distance names).
-    assert len(list_entries(tmp_path)) == len(GENERATOR_FAMILIES) + 8
+    # (six fast-path + the three reference-only reuse-distance names).
+    assert len(list_entries(tmp_path)) == len(GENERATOR_FAMILIES) + 9
 
 
 def test_roundtrip_preserves_stream_and_geometry(tmp_path):

@@ -154,7 +154,7 @@ def test_fast_path_builds_no_reference_cache(monkeypatch, traces):
     monkeypatch.setattr(cache.SetAssociativeCache, "__init__", refuse)
     monkeypatch.setattr(hierarchy.CacheHierarchy, "__init__", refuse)
     mix = [traces[name] for name in BENCHMARKS]
-    policies = ["lru", "ship++", "hawkeye", "glider"]
+    policies = ["lru", "ship++", "hawkeye", "glider", "mpppb"]
     # Figure 13's instances, with 4-core-scaled OPTgen windows.
     policies += [_make_mix_policy(name, 4) for name in ("hawkeye", "glider")]
     for policy in policies:

@@ -50,7 +50,7 @@ def test_learned_policies_stay_fast_pathed():
     deliberate (and benchmark-visible) decision, not a refactor side
     effect."""
     demoted = sorted(
-        {"drrip", "ship", "ship++", "hawkeye", "glider"}
+        {"drrip", "ship", "ship++", "hawkeye", "glider", "mpppb", "perceptron"}
         - set(FAST_PATH_POLICIES)
     )
     assert not demoted, (

@@ -158,7 +158,7 @@ def test_fast_path_builds_no_reference_cache(monkeypatch, traces):
 
     monkeypatch.setattr(cache.SetAssociativeCache, "__init__", refuse)
     monkeypatch.setattr(hierarchy.CacheHierarchy, "__init__", refuse)
-    policies = ["lru", "hawkeye", "glider"]
+    policies = ["lru", "hawkeye", "glider", "mpppb", "perceptron"]
     policies += [_make_mix_policy(name, 4) for name in ("hawkeye", "glider")]
     for policy in policies:
         SingleCoreSystem(CONFIG.hierarchy(), policy).run(traces["lbm"])
