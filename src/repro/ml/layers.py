@@ -82,12 +82,21 @@ class LSTMLayer:
         hs = np.zeros((B, T, H))
         cache: dict = {"x": x, "gates": [], "cs": [], "hs_prev": [], "cs_prev": []}
         W_x, W_h, b = self.params["W_x"], self.params["W_h"], self.params["b"]
+        if B > 1:
+            # One GEMM for every step's input projection.  BLAS gives each
+            # row the same sum as the per-step (B, D) GEMM did ...
+            x_proj = (x.reshape(B * T, -1) @ W_x).reshape(B, T, 4 * H)
+        else:
+            # ... but a single row goes through GEMV, whose sums differ.
+            x_proj = np.stack([x[:, t, :] @ W_x for t in range(T)], axis=1)
         for t in range(T):
-            z = x[:, t, :] @ W_x + h @ W_h + b
-            i = sigmoid(z[:, 0 * H : 1 * H])
-            f = sigmoid(z[:, 1 * H : 2 * H])
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = sigmoid(z[:, 3 * H : 4 * H])
+            z = x_proj[:, t, :] + h @ W_h + b
+            # Both activations are elementwise: one sigmoid call over all
+            # four gates gives i, f and o exactly, and g's columns are then
+            # overwritten with their tanh.
+            gates = sigmoid(z)
+            np.tanh(z[:, 2 * H : 3 * H], out=gates[:, 2 * H : 3 * H])
+            i, f, g, o = (gates[:, k * H : (k + 1) * H] for k in range(4))
             cache["hs_prev"].append(h)
             cache["cs_prev"].append(c)
             c = f * c + i * g

@@ -136,8 +136,8 @@ class AttentionLSTM:
         return grads
 
     # -- training/evaluation ---------------------------------------------------------
-    def train_batch(self, batch: SequenceBatch) -> float:
-        logits, cache = self.forward(batch.inputs)
+    def _step(self, batch: SequenceBatch, logits: np.ndarray, cache: dict) -> float:
+        """One optimiser step from a forward pass already run on ``batch``."""
         loss, grad = binary_cross_entropy_with_logits(
             logits, batch.targets, batch.mask
         )
@@ -146,20 +146,30 @@ class AttentionLSTM:
         self.optimizer.step(grads)
         return loss
 
+    @staticmethod
+    def _count_correct(logits: np.ndarray, batch: SequenceBatch) -> tuple[int, int]:
+        """(correct, labelled) predictions over the batch's masked positions."""
+        labelled = batch.mask > 0
+        hits = (logits >= 0.0) == (batch.targets > 0.5)
+        return int(np.sum(hits & labelled)), int(np.sum(labelled))
+
+    def train_batch(self, batch: SequenceBatch) -> float:
+        return self._step(batch, *self.forward(batch.inputs))
+
     def train_epoch(
         self, dataset: SequenceDataset, epoch: int = 0, rng: np.random.Generator | None = None
     ) -> EpochResult:
+        """One pass; train accuracy is scored on the logits each step uses."""
         rng = rng or np.random.default_rng(self.config.seed + epoch + 1)
         losses: list[float] = []
         correct = 0
         total = 0
         for batch in dataset.batches(self.config.batch_size, rng):
-            logits, _ = self.forward(batch.inputs)
-            predictions = logits >= 0.0
-            labelled = batch.mask > 0
-            correct += int(np.sum((predictions == (batch.targets > 0.5)) & labelled))
-            total += int(np.sum(labelled))
-            losses.append(self.train_batch(batch))
+            logits, cache = self.forward(batch.inputs)
+            hits, labelled = self._count_correct(logits, batch)
+            correct += hits
+            total += labelled
+            losses.append(self._step(batch, logits, cache))
         return EpochResult(
             epoch=epoch,
             train_loss=float(np.mean(losses)) if losses else 0.0,
@@ -177,10 +187,9 @@ class AttentionLSTM:
         total = 0
         for batch in dataset.batches(self.config.batch_size):
             logits, _ = self.forward(batch.inputs)
-            predictions = logits >= 0.0
-            labelled = batch.mask > 0
-            correct += int(np.sum((predictions == (batch.targets > 0.5)) & labelled))
-            total += int(np.sum(labelled))
+            hits, labelled = self._count_correct(logits, batch)
+            correct += hits
+            total += labelled
         return correct / max(1, total)
 
     def attention_weights(self, inputs: np.ndarray) -> np.ndarray:

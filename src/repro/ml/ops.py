@@ -12,13 +12,14 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    """Numerically stable logistic function.
+
+    ``exp(-|x|)`` never overflows, and both branches are computed for
+    every element and picked with ``where``: ``1 / (1 + e)`` for
+    ``x >= 0``, ``e / (1 + e)`` otherwise (NaN takes the second branch).
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
