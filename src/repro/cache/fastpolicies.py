@@ -96,7 +96,7 @@ class _StreamKernel:
     cross-access state lives in attributes.  :meth:`feed` runs the loop
     over a whole stream.  :meth:`step` runs it over one access of a
     stream decoded up front, for a caller that learns the access order
-    only as it goes (the multi-core interleave) and would otherwise pay
+    only as it goes (the multi-core timing loop) and would otherwise pay
     the per-call NumPy decode on every access.  Any in-order mix of feeds
     and steps equals one feed of the same accesses.
     """
@@ -113,12 +113,8 @@ class _StreamKernel:
     def feed(self, stream, record=None) -> None:
         self._run(self.decode(stream), record)
 
-    def step(self, columns: tuple, i: int, access_index: int = 0) -> bool:
-        """Access ``i`` of decoded ``columns``; returns its hit bit.
-
-        ``access_index`` is the caller's global request number; only the
-        reference engine's policies read it.
-        """
+    def step(self, columns: tuple, i: int) -> bool:
+        """Access ``i`` of decoded ``columns``; returns its hit bit."""
         event: list = []
         self._run([column[i : i + 1] for column in columns], event)
         return event[0][0] == 1
@@ -1631,7 +1627,7 @@ class _PerceptronKernel(_StreamKernel):
     def _run(self, columns, record) -> None:
         _perceptron_feed(self, columns, record, 0, len(columns[0]))
 
-    def step(self, columns: tuple, i: int, access_index: int = 0) -> bool:
+    def step(self, columns: tuple, i: int) -> bool:
         # One access in place: no per-step column slicing.
         event: list = []
         _perceptron_feed(self, columns, event, i, i + 1)

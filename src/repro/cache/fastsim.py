@@ -481,13 +481,12 @@ class _ReferenceKernel:
 
     The reference side of every replay: :func:`reference_replay` feeds
     it the whole stream, the streaming path feeds it chunks, and the
-    multi-core interleave steps it (the :class:`_StreamKernel` protocol,
-    with plain columns).  A running ``access_index`` carries across
-    chunks so requests are numbered exactly as
-    :meth:`LLCStream.requests` would number them in one shot; a step
-    takes its number from the caller.  The wrapped cache and policy are
-    plain attribute state, so the kernel pickles for checkpointing
-    whenever the policy itself does.
+    multi-core timing loop steps it (the :class:`_StreamKernel`
+    protocol, with plain columns).  A running ``access_index`` carries
+    across feeds and steps, so requests are numbered exactly as
+    :meth:`LLCStream.requests` would number them in one shot.  The
+    wrapped cache and policy are plain attribute state, so the kernel
+    pickles for checkpointing whenever the policy itself does.
     """
 
     def __init__(self, policy, config: CacheConfig) -> None:
@@ -507,8 +506,7 @@ class _ReferenceKernel:
     def feed(self, stream, record=None) -> None:
         columns = self.decode(stream)
         for i in range(len(columns[0])):
-            result = self._access(columns, i, self.access_index)
-            self.access_index += 1
+            result = self._access(columns, i)
             if record is not None:
                 record.append(
                     (
@@ -520,20 +518,22 @@ class _ReferenceKernel:
                     )
                 )
 
-    def step(self, columns: tuple, i: int, access_index: int = 0) -> bool:
-        return self._access(columns, i, access_index).hit
+    def step(self, columns: tuple, i: int) -> bool:
+        return self._access(columns, i).hit
 
-    def _access(self, columns: tuple, i: int, access_index: int):
+    def _access(self, columns: tuple, i: int):
         pcs, addresses, kinds, cores = columns
-        return self.llc.access(
+        result = self.llc.access(
             CacheRequest(
                 pc=pcs[i],
                 address=addresses[i],
                 access_type=_ACCESS_TYPES[kinds[i]],
                 core=cores[i],
-                access_index=access_index,
+                access_index=self.access_index,
             )
         )
+        self.access_index += 1
+        return result
 
     def finish(self) -> CacheStats:
         return self.llc.stats
@@ -552,8 +552,8 @@ def make_stream_kernel(policy, config=None, engine: str = "auto"):
     (:class:`StreamChunk` or a full ``LLCStream``).  Feeding a stream
     in any chunking produces bit-identical stats to a one-shot
     :func:`replay` of the same accesses, and so does stepping it one
-    access at a time (``decode(stream)`` once, then ``step(columns, i,
-    access_index) -> hit`` per access).  ``engine`` follows
+    access at a time (``decode(stream)`` once, then ``step(columns, i)
+    -> hit`` per access).  ``engine`` follows
     :func:`replay`: ``"auto"`` picks the fast kernel when one exists,
     ``"reference"`` forces the object engine, ``"fast"`` raises for
     unsupported policies.  A fast kernel built from an instance writes

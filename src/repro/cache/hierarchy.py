@@ -18,8 +18,9 @@ per-access ``access`` path backs ``engine="reference"`` filtering, the
 fast filter's mixed-line-size fallback, and the single-core timing
 oracle in :mod:`repro.conformance.single_core`.  The timing models
 themselves (:class:`~repro.cpu.system.SingleCoreSystem` and
-:class:`~repro.cpu.system.MultiCoreSystem`) never step it: they read
-each source access's service level from :attr:`LLCStream.levels`.
+:class:`~repro.cpu.system.MultiCoreSystem`) never step it: their one
+timing loop reads each source access's service level from
+:attr:`LLCStream.levels` and sends only LLC requests to the policy.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ trustworthy together: this package continuously proves they agree.
   (occupancy conservation, RRPV bounds, ISVM saturation, OPTgen
   occupancy vector, core/DRAM timing) attachable to any run.
 * :mod:`~repro.conformance.single_core` — the per-access single-core
-  timing oracle that the three-pass ``SingleCoreSystem`` must match.
+  timing oracle that the filter-replay-time ``SingleCoreSystem`` must
+  match.
 * :mod:`~repro.conformance.multi_core` — the per-access multi-core
   timing oracle that the filter-once ``MultiCoreSystem`` must match.
 * :mod:`~repro.conformance.shrink` — ddmin delta-debugging of failing

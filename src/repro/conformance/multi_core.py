@@ -2,7 +2,7 @@
 
 :class:`~repro.cpu.system.MultiCoreSystem` filters each core's accesses
 through its private L1/L2 once, then steps only the shared LLC inside
-the time-ordered interleave.  The oracle here is the model it replaced:
+the time-ordered timing loop.  The oracle here is the model it replaced:
 one heap loop that steps every core's object-based L1, L2 and the shared
 :class:`~repro.cache.cache.SetAssociativeCache` LLC access by access.
 The two must agree exactly — cycles, instructions, LLC demand counts and

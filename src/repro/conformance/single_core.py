@@ -1,7 +1,8 @@
 """Per-access oracle for the single-core timing model.
 
-:class:`~repro.cpu.system.SingleCoreSystem` runs a trace as three
-passes (L1/L2 filter, LLC replay, timing loop).  The oracle here is the
+:class:`~repro.cpu.system.SingleCoreSystem` filters the trace through
+the L1/L2, replays the LLC stream, then runs the one-core case of the
+shared timing loop on the recorded hit bits.  The oracle here is the
 model it replaced: one loop that steps the object-based
 :class:`~repro.cache.hierarchy.CacheHierarchy` access by access and
 feeds each served level straight into the core and DRAM timing.  The

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -56,13 +57,14 @@ class SingleCoreSystem:
     unchanged, so either takes the policy's fast kernel when it has one,
     and an instance holds its trained state afterwards.
 
-    :meth:`run` is three passes, exact because timing never feeds back
-    into cache state and the LRU L1/L2 never see the LLC policy: the
-    L1/L2 filter records the LLC stream plus each access's service
-    level, the LLC policy replays that stream (recording hit or miss
-    per access), and one loop over the levels drives the core and DRAM
-    timing.  :func:`repro.conformance.single_core.reference_single_core`
-    is the per-access oracle it must match exactly.
+    :meth:`run` filters the trace through the L1/L2 (recording the LLC
+    stream plus each access's service level), replays that stream on
+    the LLC policy (recording hit or miss per request), and times the
+    accesses with the one-core case of the shared timing loop.  This is
+    exact because timing never feeds back into cache state and the LRU
+    L1/L2 never see the LLC policy.
+    :func:`repro.conformance.single_core.reference_single_core` is the
+    per-access oracle it must match exactly.
 
     ``stream``, when given, is the filtered LLC stream of the trace
     :meth:`run` will be passed (``filter_to_llc_stream(trace, config)``,
@@ -98,12 +100,12 @@ class SingleCoreSystem:
             )
         events: list = []
         llc = fastsim.replay(stream, self.llc_policy, self.config, record=events)
-        demand_hits = [
-            event[0]
-            for event, kind in zip(events, stream.kinds.tolist())
-            if kind != LLCStream.KIND_WRITEBACK
-        ]
-        self._timing_pass(trace.instructions_per_access, stream.levels, demand_hits)
+        hits = [event[0] for event in events]
+        _time_cores(
+            [(self.core, trace.instructions_per_access, stream, hits.__getitem__)],
+            self.dram,
+            self.config,
+        )
         return SystemResult(
             name=trace.name,
             cycles=self.core.cycle,
@@ -111,29 +113,6 @@ class SingleCoreSystem:
             llc_demand_accesses=llc.demand_accesses,
             llc_demand_misses=llc.demand_misses,
         )
-
-    def _timing_pass(self, ipa: float, levels, demand_hits: list[int]) -> None:
-        """Issue every access with the latency of the level that served it.
-
-        ``demand_hits`` holds one LLC hit bit per access that reached the
-        LLC, in order; a miss also reserves the DRAM bus.
-        """
-        core, dram, config = self.core, self.dram, self.config
-        compute_per_access = max(0.0, ipa - 1.0)
-        upper = (level_latency(config, "l1"), level_latency(config, "l2"))
-        llc_latency = level_latency(config, "llc")
-        hits = iter(demand_hits)
-        for level in levels.tolist():
-            core.advance_compute(compute_per_access)
-            if level != LLCStream.LEVEL_LLC:
-                latency = upper[level]
-            elif next(hits):
-                latency = llc_latency
-            else:
-                done = dram.request(core.cycle)
-                latency = llc_latency + (done - core.cycle)
-            core.issue_memory_access(latency, ipa)
-        core.drain()
 
 
 def core_streams(
@@ -149,7 +128,7 @@ def core_streams(
     multi-programmed systems do not have.  The private LRU L1/L2 never
     see the shared LLC or the clock, so each core's service levels and
     LLC requests (every demand miss, then its L2 dirty writeback) are
-    fixed before the interleave runs; only the order in which the cores
+    fixed before the timing loop runs; only the order in which the cores
     reach the LLC depends on timing.  The streams depend on the traces,
     the L1/L2 geometry and the quota, never on the LLC policy.
     """
@@ -177,28 +156,24 @@ class _CoreContext:
     trace: Trace
     timing: CoreTimingState
     core_id: int = 0
-    accesses_done: int = 0
-    wraps: int = 0
 
 
 class MultiCoreSystem:
     """N cores with private L1/L2 and a shared LLC.
 
-    Cores are interleaved by simulated time: at each step the core with
-    the smallest current cycle issues its next access, so faster cores
+    Cores are interleaved by simulated time: the core with the smallest
+    current cycle issues its next LLC request, so faster cores
     naturally issue more traffic — the behaviour that creates shared-LLC
     interference.  Each core runs until it has issued ``quota`` accesses,
     wrapping its trace if it finishes early (the paper rewinds early
     finishers until all have run 250M instructions).
 
-    :meth:`run` filters each core once (:func:`core_streams`), then keeps
-    only the shared part per access: the time-ordered interleave steps
-    the LLC kernel (``llc``, built by
+    :meth:`run` filters each core once (:func:`core_streams`), then runs
+    the shared timing loop, which steps the LLC kernel (``llc``, built by
     :func:`repro.cache.fastsim.make_stream_kernel`, so a name or an
     instance takes the policy's fast kernel when it has one, and an
     instance holds its trained state after :meth:`run`) with each
-    request that reached it.  A
-    demand's hit bit picks LLC latency or a DRAM reservation.
+    request that reached it.
     ``streams``, when given, are this system's :func:`core_streams` for
     the quota :meth:`run` will be asked for, so the systems of one mix
     share a single filter pass.
@@ -246,75 +221,93 @@ class MultiCoreSystem:
         )
         if any(len(stream.levels) != quota_accesses for stream in streams):
             raise ValueError(f"streams were not filtered for {quota_accesses} accesses")
-        self._interleave(streams, quota_accesses)
-        for core in self.cores:
-            core.timing.drain()
-            core.accesses_done = quota_accesses
-            core.wraps = (quota_accesses - 1) // len(core.trace)
+        llc = self.llc
+        _time_cores(
+            [
+                (
+                    core.timing,
+                    core.trace.instructions_per_access,
+                    stream,
+                    partial(llc.step, llc.decode(stream)),
+                )
+                for core, stream in zip(self.cores, streams)
+            ],
+            self.dram,
+            self.config,
+        )
         total_instructions = sum(c.timing.retired_instructions for c in self.cores)
         cycles = max(c.timing.cycle for c in self.cores)
-        llc = self.llc.finish()
+        stats = llc.finish()
         return SystemResult(
             name="+".join(c.trace.name for c in self.cores),
             cycles=cycles,
             instructions=float(total_instructions),
-            llc_demand_accesses=llc.demand_accesses,
-            llc_demand_misses=llc.demand_misses,
+            llc_demand_accesses=stats.demand_accesses,
+            llc_demand_misses=stats.demand_misses,
             per_core_ipc={i: c.timing.ipc for i, c in enumerate(self.cores)},
         )
 
-    def _interleave(self, streams: list[LLCStream], quota: int) -> None:
-        """Issue every core's accesses in simulated-time order.
 
-        ``access_index`` numbers the requests the way the reference
-        hierarchy does: one per core access (L1 hits included), one more
-        per writeback.
-        """
-        llc, dram, config = self.llc, self.dram, self.config
-        step = llc.step
-        columns = [llc.decode(stream) for stream in streams]
-        levels = [stream.levels.tolist() for stream in streams]
-        # A demand miss is followed in its core's stream by the writeback
-        # of the L2 line it displaced, if that line was dirty; the trailing
-        # False covers the last request.
-        writebacks = [
-            (stream.kinds == LLCStream.KIND_WRITEBACK).tolist() + [False]
-            for stream in streams
-        ]
-        timings = [core.timing for core in self.cores]
-        ipas = [core.trace.instructions_per_access for core in self.cores]
-        upper = (level_latency(config, "l1"), level_latency(config, "l2"))
-        llc_latency = level_latency(config, "llc")
-        issued = [0] * len(streams)
-        requested = [0] * len(streams)
-        access_index = 0
-        heap = [(timing.cycle, i) for i, timing in enumerate(timings)]
-        heapq.heapify(heap)
-        while heap:
-            _, core_id = heapq.heappop(heap)
-            timing = timings[core_id]
-            ipa = ipas[core_id]
-            timing.advance_compute(max(0.0, ipa - 1.0))
-            access_index += 1
-            n = issued[core_id]
-            issued[core_id] = n + 1
-            level = levels[core_id][n]
-            if level != LLCStream.LEVEL_LLC:
-                latency = upper[level]
-            else:
-                r = requested[core_id]
-                hit = step(columns[core_id], r, access_index)
+def _time_cores(cores: list[tuple], dram: DramBus, config: HierarchyConfig) -> None:
+    """Issue every core's accesses in simulated-time order, then drain.
+
+    ``cores`` holds one ``(timing, ipa, stream, hit)`` per core: its
+    :class:`CoreTimingState`, instructions per access, filtered LLC
+    stream (service levels included) and ``hit(r)``, the LLC hit bit of
+    the stream's request ``r``.  Only the LLC and the DRAM bus are
+    shared, so only LLC requests go through the heap: a core runs its
+    private L1/L2 hits on its own and waits on the heap with its cycle
+    before its next LLC request, ties going to the lower core id.  The
+    last core left runs to its end without the heap.
+    """
+    heap = []
+    for core_id, core in enumerate(cores):
+        accesses = _core_accesses(*core, dram, config)
+        cycle = next(accesses, None)
+        if cycle is not None:
+            heap.append((cycle, core_id, accesses))
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        _, core_id, accesses = heap[0]
+        cycle = next(accesses, None)
+        if cycle is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (cycle, core_id, accesses))
+    for _, _, accesses in heap:
+        for _ in accesses:
+            pass
+    for timing, *_ in cores:
+        timing.drain()
+
+
+def _core_accesses(timing, ipa, stream, hit, dram, config):
+    """Time one core's accesses in order, yielding its cycle before each
+    LLC request; the request runs when the generator is resumed."""
+    compute = max(0.0, ipa - 1.0)
+    upper = (level_latency(config, "l1"), level_latency(config, "l2"))
+    llc_latency = level_latency(config, "llc")
+    llc_level = LLCStream.LEVEL_LLC
+    # A demand miss is followed in the stream by the writeback of the L2
+    # line it displaced, if that line was dirty; the trailing False
+    # covers the last request.
+    writebacks = (stream.kinds == LLCStream.KIND_WRITEBACK).tolist() + [False]
+    r = 0
+    for level in stream.levels.tolist():
+        if level == llc_level:
+            yield timing.cycle
+        timing.advance_compute(compute)
+        if level != llc_level:
+            latency = upper[level]
+        else:
+            demand_hit = hit(r)
+            r += 1
+            if writebacks[r]:
+                hit(r)
                 r += 1
-                if writebacks[core_id][r]:
-                    access_index += 1
-                    step(columns[core_id], r, access_index)
-                    r += 1
-                requested[core_id] = r
-                if hit:
-                    latency = llc_latency
-                else:
-                    done = dram.request(timing.cycle)
-                    latency = llc_latency + (done - timing.cycle)
-            timing.issue_memory_access(latency, ipa)
-            if n + 1 < quota:
-                heapq.heappush(heap, (timing.cycle, core_id))
+            if demand_hit:
+                latency = llc_latency
+            else:
+                done = dram.request(timing.cycle)
+                latency = llc_latency + (done - timing.cycle)
+        timing.issue_memory_access(latency, ipa)

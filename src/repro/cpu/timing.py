@@ -36,7 +36,6 @@ class DramBus:
         self.config = config
         self._free_at = 0.0
         self.transfers = 0
-        self.busy_cycles = 0.0
 
     def request(self, now: float) -> float:
         """Issue a line transfer at time ``now``; returns completion time."""
@@ -44,11 +43,7 @@ class DramBus:
         occupancy = self.config.cycles_per_line()
         self._free_at = start + occupancy
         self.transfers += 1
-        self.busy_cycles += occupancy
         return start + self.config.latency + (start - now)
-
-    def queue_delay(self, now: float) -> float:
-        return max(0.0, self._free_at - now)
 
 
 @dataclass

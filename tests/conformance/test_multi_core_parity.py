@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, HierarchyConfig
 from repro.cache.config import DramConfig
@@ -27,9 +29,7 @@ from repro.traces.suite import get_trace
 
 CONFIG = ExperimentConfig(trace_length=1200)
 QUOTA = 1500
-#: MIN needs the whole future stream up front, which an interleave only
-#: knows once it has run.
-POLICIES = [p for p in available_policies() if p != "belady"]
+POLICIES = available_policies()
 BENCHMARKS = ("mcf", "lbm", "bfs", "omnetpp")
 
 
@@ -60,7 +60,7 @@ def traces() -> dict[str, Trace]:
     }
 
 
-@pytest.mark.parametrize("cores", [2, 4])
+@pytest.mark.parametrize("cores", [1, 2, 4])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_matches_oracle_on_benchmarks(policy, cores, traces):
     mix = [traces[name] for name in BENCHMARKS[:cores]]
@@ -77,6 +77,58 @@ def test_matches_oracle_when_a_trace_wraps(policy, traces):
         is_write=traces["mcf"].is_write[:90],
     )
     _assert_matches_oracle(CONFIG.hierarchy(cores=2), policy, [short, traces["lbm"]], 700)
+
+
+def _level(draw, name: str) -> CacheConfig:
+    sets = draw(st.sampled_from([1, 2, 4]))
+    ways = draw(st.sampled_from([1, 2, 4]))
+    return CacheConfig(name, sets * ways * 64, ways, latency=draw(st.integers(1, 30)))
+
+
+@st.composite
+def _small_hierarchies(draw) -> HierarchyConfig:
+    return HierarchyConfig(
+        l1=_level(draw, "L1D"),
+        l2=_level(draw, "L2"),
+        llc=_level(draw, "LLC"),
+        dram=DramConfig(
+            latency=draw(st.integers(1, 200)),
+            bandwidth_bytes_per_cycle=draw(st.sampled_from([0.5, 4.0, 64.0])),
+        ),
+        cores=draw(st.integers(1, 4)),
+    )
+
+
+_accesses = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 47), st.booleans()),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=_small_hierarchies(),
+    policy=st.sampled_from(POLICIES),
+    mix=st.lists(_accesses, min_size=4, max_size=4),
+    ipa=st.sampled_from([1.0, 2.5, 4.0]),
+    quota=st.integers(1, 120),
+)
+def test_matches_oracle_on_small_geometries(config, policy, mix, ipa, quota):
+    """Traces mostly shorter than the quota, so cores rewind; at one
+    instruction per access no compute separates the cores, so they tie
+    on cycle and the core id must break the tie."""
+    traces = [
+        Trace(
+            name=f"property{core}",
+            pcs=np.array([0x400000 + 4 * pc for pc, _, _ in accesses], dtype=np.uint64),
+            addresses=np.array([64 * line for _, line, _ in accesses], dtype=np.uint64),
+            is_write=np.array([write for _, _, write in accesses], dtype=bool),
+            instructions_per_access=ipa,
+        )
+        for core, accesses in enumerate(mix[: config.cores])
+    ]
+    _assert_matches_oracle(config, policy, traces, quota)
 
 
 def _all_writes(trace: Trace) -> Trace:

@@ -129,6 +129,19 @@ def test_matches_oracle_on_small_geometries(config, policy, accesses, ipa):
     _assert_matches_oracle(config, policy, trace)
 
 
+@pytest.mark.parametrize("policy", ["lru", "hawkeye", "mpppb", "sdbp"])
+def test_empty_trace_takes_only_the_pipeline_fill(policy):
+    empty = Trace(
+        name="empty",
+        pcs=np.zeros(0, dtype=np.uint64),
+        addresses=np.zeros(0, dtype=np.uint64),
+        is_write=np.zeros(0, dtype=bool),
+    )
+    _assert_matches_oracle(CONFIG.hierarchy(), policy, empty)
+    result = SingleCoreSystem(CONFIG.hierarchy(), policy).run(empty)
+    assert (result.cycles, result.instructions) == (8.0, 0.0)
+
+
 def test_prefiltered_stream_matches_own_filter(traces):
     """A stream filtered once serves every policy and core count."""
     from repro.cache.hierarchy import filter_to_llc_stream

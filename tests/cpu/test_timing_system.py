@@ -34,11 +34,6 @@ class TestDramBus:
         bus.request(0.0)
         assert bus.transfers == 2
 
-    def test_queue_delay(self):
-        bus = DramBus(DramConfig(bandwidth_bytes_per_cycle=0.64))
-        bus.request(0.0)
-        assert bus.queue_delay(0.0) == pytest.approx(100.0)
-
 
 class TestCoreTiming:
     def test_compute_advances_at_width(self):
@@ -119,19 +114,6 @@ class TestMultiCoreSystem:
             pairs = [(10 + c, (c * 1000 + i) % (400 + 100 * c)) for i in range(3000)]
             traces.append(make_trace(pairs, f"w{c}"))
         return traces
-
-    def test_runs_quota(self, small_hierarchy):
-        system = MultiCoreSystem(self.make_traces(2), small_hierarchy, LRUPolicy())
-        result = system.run(quota_accesses=1000)
-        for core in system.cores:
-            assert core.accesses_done == 1000
-
-    def test_wraps_short_traces(self, small_hierarchy):
-        short = make_trace([(1, i % 10) for i in range(100)], "short")
-        long = make_trace([(2, i) for i in range(5000)], "long")
-        system = MultiCoreSystem([short, long], small_hierarchy, LRUPolicy())
-        system.run(quota_accesses=500)
-        assert system.cores[0].wraps >= 4
 
     def test_per_core_ipc_reported(self, small_hierarchy):
         system = MultiCoreSystem(self.make_traces(2), small_hierarchy, LRUPolicy())
