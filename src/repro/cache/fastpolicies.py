@@ -1,15 +1,22 @@
-"""Fast-path replay kernels for the learned-policy family.
+"""The kernel substrate, and the fast-path kernels for the RRIP family
+and the learned policies.
 
-:mod:`repro.cache.fastsim` dispatches into this module for the policies
-whose victim choice depends on *learned* state — DRRIP's set-duelling
-PSEL, SHiP/SHiP++'s signature outcome table, the Hawkeye/Glider
+:class:`_StreamKernel` is the feed/step protocol and the per-set
+substrate (tag/dirty lists, fill counts, event counters) every kernel
+shares, the recency and random kernels in :mod:`repro.cache.fastsim`
+included.  :mod:`repro.cache.fastsim` dispatches into this module for
+the RRIP family — SRRIP, BRRIP and DRRIP's set-duelling PSEL on one
+kernel — and for the policies whose victim choice depends on *learned*
+state: SHiP/SHiP++'s signature outcome table, the Hawkeye/Glider
 OPTgen-trained predictors, and the MPPPB/Perceptron hashed perceptrons.
-Each kernel keeps the same structure-of-arrays layout as the stateless
-kernels (flat per-set tag/dirty/RRPV lists, set/tag splitting and PC
-hashing vectorized up front with NumPy) and adds exactly the per-line
-and global state its policy needs:
+Each kernel keeps the same structure-of-arrays layout (flat per-set
+tag/dirty/RRPV lists, set/tag splitting and PC hashing vectorized up
+front with NumPy) and adds exactly the per-line and global state its
+policy needs:
 
-* ``drrip``   — RRPV lists + leader-set role array + one PSEL counter.
+* ``drrip``   — RRPV lists + a per-set insertion role (SRRIP: every set
+  inserts long; BRRIP: every set draws; DRRIP: leader sets of both
+  roles, followers read the one PSEL counter).
 * ``ship``    — RRPV lists + per-line signature/outcome + the SHCT.
 * ``hawkeye`` — RRPV/friendly lists + per-line predictor index + the
   3-bit counter table + a flat port of the sampled-set OPTgen.
@@ -99,6 +106,10 @@ class _StreamKernel:
     only as it goes (the multi-core timing loop) and would otherwise pay
     the per-call NumPy decode on every access.  Any in-order mix of feeds
     and steps equals one feed of the same accesses.
+
+    The substrate every loop reads and :meth:`finish` reports lives
+    here: per-set tag/dirty lists and fill counts, the six event
+    counters and the per-core demand hit/miss counts.
     """
 
     #: The caller's policy instance the kernel was built from, if any;
@@ -107,11 +118,27 @@ class _StreamKernel:
     #: Bypassed misses; only kernels whose policy can bypass count them.
     byp = 0
 
+    def __init__(self, config: CacheConfig) -> None:
+        num_sets, assoc = config.num_sets, config.associativity
+        self.config = config
+        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
+        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
+        self.fill_count = [0] * num_sets
+        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
+        self.pch: dict[int, int] = {}
+        self.pcm: dict[int, int] = {}
+
     def decode(self, stream) -> tuple:
         return _decode_stream(stream, self.config)
 
     def feed(self, stream, record=None) -> None:
         self._run(self.decode(stream), record)
+        rec = _insight_recorder(self.config)
+        if rec is not None:
+            state = self._model_state()
+            if state is not None:
+                name, signals = state
+                rec.record_model_state(name, **signals)
 
     def step(self, columns: tuple, i: int) -> bool:
         """Access ``i`` of decoded ``columns``; returns its hit bit."""
@@ -140,6 +167,11 @@ class _StreamKernel:
 
     def _write_back(self, policy) -> None:
         """Copy trained state into ``policy`` (stateless kernels have none)."""
+
+    def _model_state(self) -> tuple[str, dict] | None:
+        """``(policy name, signals)`` for the insight recorder's drift
+        series, reported once per :meth:`feed`; None reports nothing."""
+        return None
 
 
 # -- vectorized PC hashing ----------------------------------------------------
@@ -404,78 +436,77 @@ class _FlatOptGenSampler:
         return events
 
 
-# -- DRRIP --------------------------------------------------------------------
+# -- RRIP (SRRIP / BRRIP / DRRIP) ---------------------------------------------
 
 
 class _DRRIPKernel(_StreamKernel):
-    """DRRIP fast kernel: RRIP substrate + leader-set duelling PSEL.
+    """RRIP fast kernel: SRRIP, BRRIP and DRRIP on one loop.
 
-    All cross-access state lives in attributes, so the kernel can be
-    fed a stream in bounded-memory chunks (:meth:`feed` any number of
-    times, then :meth:`finish`) and pickled between chunks for the
-    checkpointed streaming replay — a single ``feed`` of the whole
-    stream is bit-identical to the historical one-shot kernel.
+    Every set has an insertion role: 1 inserts long (SRRIP), 2 inserts
+    long with probability ``long_prob`` and distant otherwise (BRRIP),
+    0 follows PSEL.  With ``num_leader_sets`` None one policy runs in
+    every set — SRRIP when ``long_prob`` is None, BRRIP otherwise — and
+    PSEL stays put.  With an int the kernel is DRRIP: leader sets of
+    both roles steer PSEL (each fill in an SRRIP leader decrements it,
+    each in a BRRIP leader increments it) and the followers read it.
+    Only DRRIP writes PSEL back and reports it as model state.
     """
 
     def __init__(
         self,
         config: CacheConfig,
         max_rrpv: int,
-        num_leader_sets: int,
-        psel_max: int,
-        long_prob: float,
+        long_prob: float | None,
         seed: int,
+        num_leader_sets: int | None = None,
+        psel_max: int = 0,
     ) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.max_rrpv = max_rrpv
-        self.psel_max = psel_max
         self.long_prob = long_prob
-        # Leader-set roles, matching DRRIPPolicy.attach: 1 = SRRIP leader,
-        # 2 = BRRIP leader (SRRIP wins overlaps), 0 = follower.
-        role = [0] * num_sets
-        leaders = min(num_leader_sets, max(1, num_sets // 2))
-        stride = max(1, num_sets // (2 * leaders))
-        for i in range(leaders):
-            role[(2 * i) * stride % num_sets] = 1
-        for i in range(leaders):
-            s = ((2 * i + 1) * stride) % num_sets
-            if role[s] == 0:
-                role[s] = 2
-        self.role = role
+        self.duelling = num_leader_sets is not None
+        self.psel_max = psel_max
         self.psel = psel_max // 2
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
+        if not self.duelling:
+            self.role = [1 if long_prob is None else 2] * num_sets
+        else:
+            # Leader-set roles, matching DRRIPPolicy.attach (SRRIP wins
+            # overlaps).
+            role = [0] * num_sets
+            leaders = min(num_leader_sets, max(1, num_sets // 2))
+            stride = max(1, num_sets // (2 * leaders))
+            for i in range(leaders):
+                role[(2 * i) * stride % num_sets] = 1
+            for i in range(leaders):
+                s = ((2 * i + 1) * stride) % num_sets
+                if role[s] == 0:
+                    role[s] = 2
+            self.role = role
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
         self.rng = np.random.default_rng(seed)
         self.draw_buf: list[float] = []
         self.draw_pos = 0
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def _run(self, columns, record) -> None:
         _drrip_feed(self, columns, record)
 
     def _write_back(self, policy) -> None:
-        policy.psel = self.psel
+        if self.duelling:
+            policy.psel = self.psel
 
-    def feed(self, stream, record=None) -> None:
-        super().feed(stream, record)
-        rec = _insight_recorder(self.config)
-        if rec is not None:
-            rec.record_model_state(
-                "drrip",
-                psel=self.psel,
-                psel_fraction=self.psel / max(1, self.psel_max),
-            )
+    def _model_state(self) -> tuple[str, dict] | None:
+        if not self.duelling:
+            return None
+        return "drrip", {
+            "psel": self.psel,
+            "psel_fraction": self.psel / max(1, self.psel_max),
+        }
 
 
 def _drrip_feed(kernel, columns, record) -> None:
-    # Loop body is verbatim from the original one-shot kernel; only the
-    # locals-load prologue / store-back epilogue differ (attrs <-> locals
-    # so the hot loop keeps LOAD_FAST access).
+    # Attributes load into locals up front and store back after the loop,
+    # so the hot loop keeps LOAD_FAST access.
     sets, tags, kinds, cores = columns
     config = kernel.config
     num_sets, assoc = config.num_sets, config.associativity
@@ -545,7 +576,7 @@ def _drrip_feed(kernel, columns, record) -> None:
         row[w] = t
         dirty_t[s][w] = k != _KIND_LOAD
         # insertion_rrpv: a fill means this set missed — update PSEL if a
-        # leader, then pick the component policy (and only BRRIP draws).
+        # duelling leader, then pick the insertion (only BRRIP draws).
         r = role[s]
         if r == 1:
             if psel > 0:
@@ -596,8 +627,8 @@ class _ShipKernel(_StreamKernel):
         counter_max: int,
         num_sampled_sets: int,
     ) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.plus = plus
         self.max_rrpv = max_rrpv
         self.signature_bits = signature_bits
@@ -609,15 +640,9 @@ class _ShipKernel(_StreamKernel):
             sampled[i * stride] = True
         self.sampled = sampled
         self.shct = [counter_max // 2] * (1 << signature_bits)
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
         self.sig_t = [[-1] * assoc for _ in range(num_sets)]
         self.out_t = [[False] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def decode(self, stream) -> tuple:
         return _decode_stream(stream, self.config) + (
@@ -630,19 +655,15 @@ class _ShipKernel(_StreamKernel):
     def _write_back(self, policy) -> None:
         policy.shct = list(self.shct)
 
-    def feed(self, stream, record=None) -> None:
-        super().feed(stream, record)
-        rec = _insight_recorder(self.config)
-        if rec is not None:
-            shct = self.shct
-            cmax = self.counter_max
-            rec.record_model_state(
-                "ship++" if self.plus else "ship",
-                shct_mean=sum(shct) / len(shct),
-                shct_saturated_fraction=(
-                    sum(1 for c in shct if c == 0 or c == cmax) / len(shct)
-                ),
-            )
+    def _model_state(self) -> tuple[str, dict]:
+        shct = self.shct
+        cmax = self.counter_max
+        return "ship++" if self.plus else "ship", {
+            "shct_mean": sum(shct) / len(shct),
+            "shct_saturated_fraction": (
+                sum(1 for c in shct if c == 0 or c == cmax) / len(shct)
+            ),
+        }
 
 
 def _ship_feed(kernel, columns, record) -> None:
@@ -780,8 +801,8 @@ class _HawkeyeKernel(_StreamKernel):
         num_sampled_sets: int,
         window_factor: int,
     ) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.table_bits = table_bits
         self.counter_max = counter_max
         mid = (counter_max + 1) // 2
@@ -790,15 +811,9 @@ class _HawkeyeKernel(_StreamKernel):
             num_sets, assoc, num_sampled_sets, window_factor
         )
         self.prediction_checks = self.prediction_correct = 0
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
         self.fr_t = [[False] * assoc for _ in range(num_sets)]
         self.pi_t = [[0] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def decode(self, stream) -> tuple:
         return _decode_stream(stream, self.config) + (
@@ -817,19 +832,15 @@ class _HawkeyeKernel(_StreamKernel):
         policy.prediction_checks = self.prediction_checks
         policy.prediction_correct = self.prediction_correct
 
-    def feed(self, stream, record=None) -> None:
-        super().feed(stream, record)
-        rec = _insight_recorder(self.config)
-        if rec is not None:
-            table = self.table
-            cmax = self.counter_max
-            rec.record_model_state(
-                "hawkeye",
-                counter_mean=sum(table) / len(table),
-                counter_saturated_fraction=(
-                    sum(1 for c in table if c == 0 or c == cmax) / len(table)
-                ),
-            )
+    def _model_state(self) -> tuple[str, dict]:
+        table = self.table
+        cmax = self.counter_max
+        return "hawkeye", {
+            "counter_mean": sum(table) / len(table),
+            "counter_saturated_fraction": (
+                sum(1 for c in table if c == 0 or c == cmax) / len(table)
+            ),
+        }
 
 
 def _hawkeye_feed(kernel, columns, record) -> None:
@@ -1008,8 +1019,8 @@ class _GliderKernel(_StreamKernel):
     ) -> None:
         from ..core.isvm import HIGH_CONFIDENCE_SUM
 
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.k = k
         self.table_bits = table_bits
         self.weight_hash_bits = weight_hash_bits
@@ -1030,16 +1041,10 @@ class _GliderKernel(_StreamKernel):
             num_sets, assoc, num_sampled_sets, window_factor, tracker_ways
         )
         self.pchr: dict[int, list] = {}
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
         self.fr_t = [[False] * assoc for _ in range(num_sets)]
         self.ei_t = [[0] * assoc for _ in range(num_sets)]
         self.ctx_t = [[None] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def decode(self, stream) -> tuple:
         eidx = (
@@ -1084,29 +1089,23 @@ class _GliderKernel(_StreamKernel):
         policy.prediction_checks = self.prediction_checks
         policy.prediction_correct = self.prediction_correct
 
-    def feed(self, stream, record=None) -> None:
-        super().feed(stream, record)
-        rec = _insight_recorder(self.config)
-        if rec is not None:
-            from ..core.isvm import ISVM
+    def _model_state(self) -> tuple[str, dict]:
+        from ..core.isvm import ISVM
 
-            norm = 0
-            saturated = 0
-            active = 0
-            for entry in self.weights:
-                for v in entry:
-                    if v:
-                        active += 1
-                        norm += v if v > 0 else -v
-                        if v <= ISVM.WEIGHT_MIN or v >= ISVM.WEIGHT_MAX:
-                            saturated += 1
-            rec.record_model_state(
-                "glider",
-                isvm_weight_norm=norm,
-                isvm_saturated_weights=saturated,
-                isvm_active_weights=active,
-                threshold=self.threshold,
-            )
+        norm = saturated = active = 0
+        for entry in self.weights:
+            for v in entry:
+                if v:
+                    active += 1
+                    norm += v if v > 0 else -v
+                    if v <= ISVM.WEIGHT_MIN or v >= ISVM.WEIGHT_MAX:
+                        saturated += 1
+        return "glider", {
+            "isvm_weight_norm": norm,
+            "isvm_saturated_weights": saturated,
+            "isvm_active_weights": active,
+            "threshold": self.threshold,
+        }
 
 
 def _glider_feed(kernel, columns, record) -> None:
@@ -1528,8 +1527,8 @@ class _PerceptronKernel(_StreamKernel):
         hold_below: int,
         fill_cuts: tuple[int, int, int],
     ) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.table_bits = table_bits
         self.theta = theta
         self.weight_min = weight_min
@@ -1570,14 +1569,7 @@ class _PerceptronKernel(_StreamKernel):
         self.inflight: tuple = ()
         self.memo: dict = {}
         self.pc_rows: dict = {}
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.byp = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def decode(self, stream) -> tuple:
         pcs = stream.pcs.astype(np.uint64)

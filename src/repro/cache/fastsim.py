@@ -11,12 +11,13 @@ This module provides:
 
 * **Fast-path kernels** — flat-list tag/dirty/last-touch/RRPV state per
   set (no per-line objects, no per-access allocation, set/tag splitting
-  vectorized up front with NumPy).  The stateless kernels (LRU, MRU,
-  random, SRRIP, BRRIP) live here, the learned ones (DRRIP, SHiP,
-  SHiP++, Hawkeye, Glider, and one hashed-perceptron kernel for MPPPB
-  and Perceptron) in :mod:`repro.cache.fastpolicies`.  Which
-  policy takes which kernel, with which parameters, is declared once by
-  ``kernel=`` on its :class:`~repro.policies.registry.PolicySpec`.
+  vectorized up front with NumPy).  Seven kernel classes serve twelve
+  policies.  The recency (LRU, MRU) and random kernels live here; the
+  RRIP kernel (SRRIP, BRRIP and DRRIP), SHiP/SHiP++, Hawkeye, Glider and
+  one hashed-perceptron kernel for MPPPB and Perceptron live in
+  :mod:`repro.cache.fastpolicies`, as does the substrate they share.
+  Which policy takes which kernel, with which parameters, is declared
+  once by ``kernel=`` on its :class:`~repro.policies.registry.PolicySpec`.
 * **A shared engine protocol** — :func:`replay` dispatches a policy
   (registry name or instance) to its fast kernel when one exists and
   falls back *transparently* to the reference engine otherwise, so
@@ -81,7 +82,7 @@ __all__ = [
 ]
 
 #: Registry names with a fast-path kernel, in registry order: the specs
-#: that carry ``kernel=`` (stateless kernels here, learned ones in
+#: that carry ``kernel=`` (recency and random kernels here, the rest in
 #: :mod:`repro.cache.fastpolicies`).
 FAST_PATH_POLICIES = tuple(n for n, spec in policy_specs().items() if spec.kernel)
 
@@ -168,9 +169,8 @@ def _llc_config(config) -> CacheConfig:
 
 
 # -- fast kernels -------------------------------------------------------------
-# (_StreamKernel, the feed/step protocol, lives in fastpolicies and is
-# shared by the stateless kernels below and the learned-policy kernels
-# there.)
+# (_StreamKernel, the feed/step protocol and the per-set substrate, lives
+# in fastpolicies and is shared by the kernels below and those there.)
 
 
 class _RecencyKernel(_StreamKernel):
@@ -185,17 +185,11 @@ class _RecencyKernel(_StreamKernel):
     """
 
     def __init__(self, config: CacheConfig, newest: bool) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.newest = newest
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
         self.touch_t = [[0] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = 0
-        self.ev = self.dev = self.counter = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
+        self.counter = 0
 
     def _run(self, columns, record) -> None:
         _recency_feed(self, columns, record)
@@ -271,19 +265,12 @@ class _RandomKernel(_StreamKernel):
     """
 
     def __init__(self, config: CacheConfig, seed: int) -> None:
-        num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
+        super().__init__(config)
         # Batched draws are bit-identical to per-call draws for PCG64, so
         # a refill buffer preserves the reference policy's exact sequence.
         self.rng = np.random.default_rng(seed)
         self.draw_buf: list[int] = []
         self.draw_pos = 0
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def _run(self, columns, record) -> None:
         _random_feed(self, columns, record)
@@ -353,117 +340,13 @@ def _random_feed(kernel, columns, record) -> None:
     )
 
 
-class _RRIPKernel(_StreamKernel):
-    """SRRIP (``long_prob=None``) / BRRIP fast kernel (chunk-feedable)."""
-
-    def __init__(self, config: CacheConfig, max_rrpv: int, long_prob, seed: int) -> None:
-        num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
-        self.max_rrpv = max_rrpv
-        self.long_prob = long_prob
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
-        self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.rng = np.random.default_rng(seed) if long_prob is not None else None
-        self.draw_buf: list[float] = []
-        self.draw_pos = 0
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
-
-    def _run(self, columns, record) -> None:
-        _rrip_feed(self, columns, record)
-
-
-def _rrip_feed(kernel, columns, record) -> None:
-    config = kernel.config
-    sets, tags, kinds, cores = columns
-    num_sets, assoc = config.num_sets, config.associativity
-    max_rrpv = kernel.max_rrpv
-    long_prob = kernel.long_prob
-    tag_t = kernel.tag_t
-    dirty_t = kernel.dirty_t
-    rrpv_t = kernel.rrpv_t
-    fill_count = kernel.fill_count
-    rng = kernel.rng
-    draw_buf = kernel.draw_buf
-    draw_pos = kernel.draw_pos
-    long_rrpv = max_rrpv - 1
-    dh, dm, wh, wm, ev, dev = (
-        kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev
-    )
-    pch = kernel.pch
-    pcm = kernel.pcm
-    for i in range(len(sets)):
-        s = sets[i]
-        t = tags[i]
-        k = kinds[i]
-        row = tag_t[s]
-        if t in row:
-            w = row.index(t)
-            rrpv_t[s][w] = 0
-            if k != _KIND_LOAD:
-                dirty_t[s][w] = True
-            if k != _KIND_WRITEBACK:
-                dh += 1
-                c = cores[i]
-                pch[c] = pch.get(c, 0) + 1
-            else:
-                wh += 1
-            if record is not None:
-                record.append((1, 0, w, -1, 0))
-            continue
-        if k != _KIND_WRITEBACK:
-            dm += 1
-            c = cores[i]
-            pcm[c] = pcm.get(c, 0) + 1
-        else:
-            wm += 1
-        ev_tag, ev_dirty = -1, False
-        if fill_count[s] < assoc:
-            w = row.index(-1)
-            fill_count[s] += 1
-        else:
-            rr = rrpv_t[s]
-            while True:
-                for w in range(assoc):
-                    if rr[w] >= max_rrpv:
-                        break
-                else:
-                    for j in range(assoc):
-                        rr[j] += 1
-                    continue
-                break
-            ev_tag, ev_dirty = row[w], dirty_t[s][w]
-            ev += 1
-            if ev_dirty:
-                dev += 1
-        row[w] = t
-        dirty_t[s][w] = k != _KIND_LOAD
-        if rng is None:
-            rrpv_t[s][w] = long_rrpv
-        else:
-            if draw_pos == len(draw_buf):
-                draw_buf = rng.random(size=4096).tolist()
-                draw_pos = 0
-            rrpv_t[s][w] = long_rrpv if draw_buf[draw_pos] < long_prob else max_rrpv
-            draw_pos += 1
-        if record is not None:
-            record.append((0, 0, w, ev_tag, int(ev_dirty)))
-    kernel.draw_buf = draw_buf
-    kernel.draw_pos = draw_pos
-    kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
-        dh, dm, wh, wm, ev, dev
-    )
-
-
 # Kernel kind -> chunk-feedable class (params as from fast_path_kernel).
+# "drrip" is the whole RRIP family: srrip and brrip take it too, with no
+# leader sets.
 _STREAM_KERNELS = {
     "lru": lambda cfg, **p: _RecencyKernel(cfg, newest=False, **p),
     "mru": lambda cfg, **p: _RecencyKernel(cfg, newest=True, **p),
     "random": _RandomKernel,
-    "rrip": _RRIPKernel,
     "drrip": _DRRIPKernel,
     "ship": _ShipKernel,
     "hawkeye": _HawkeyeKernel,
@@ -612,8 +495,9 @@ def replay(
     When metrics/tracing are off — the default — this is one flag check
     and a tail call; the kernels themselves are never instrumented, so
     the fast path pays nothing per access.  An installed
-    :mod:`repro.obs.insight` recorder is engine-independent (the kernels
-    and reference policies feed it directly); this wrapper only mirrors
+    :mod:`repro.obs.insight` recorder is fed directly: decision events by
+    the kernels and the reference policies alike, model-state signals
+    by the fast kernels only (once per feed).  This wrapper only mirrors
     its gauges into the metrics registry after the run.
     """
     if not obs_metrics.ENABLED and obs_trace.get_tracer() is None:

@@ -18,9 +18,10 @@ zero-cost-when-disabled contract as :mod:`repro.obs.metrics`:
   every recorded prediction is scored once its reuse resolves, *exactly*
   as the paper labels training data.  Live accuracy / precision /
   coverage gauges follow with no second simulation.
-* **Model drift** — engines report model-state signals (ISVM weight
-  norm, SHCT/counter-table saturation, DRRIP PSEL) at feed/call
-  boundaries; the recorder tracks deltas between consecutive reports as
+* **Model drift** — the fast kernels report model-state signals (ISVM
+  weight norm, SHCT/counter-table saturation, DRRIP PSEL) once per
+  ``feed``; the reference policies report decisions, not model state.
+  The recorder tracks deltas between consecutive reports as
   histograms, plus the per-PC prediction-flip rate.
 * **Worst decisions** — when a line the policy evicted later resolves
   as OPT-friendly (Belady would have kept it), the join of the eviction

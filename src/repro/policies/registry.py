@@ -151,15 +151,17 @@ _SPECS: dict[str, PolicySpec] = {
     "random": PolicySpec(
         RandomPolicy, RandomPolicy, lambda p: ("random", {"seed": p._seed})
     ),
+    # One RRIP kernel for the family: SRRIP inserts long in every set,
+    # BRRIP draws in every set, DRRIP duels the two through PSEL.
     "srrip": PolicySpec(
         SRRIPPolicy,
         SRRIPPolicy,
-        lambda p: ("rrip", {"max_rrpv": p.max_rrpv, "long_prob": None, "seed": 0}),
+        lambda p: ("drrip", {"max_rrpv": p.max_rrpv, "long_prob": None, "seed": 0}),
     ),
     "brrip": PolicySpec(
         BRRIPPolicy,
         BRRIPPolicy,
-        lambda p: ("rrip", {
+        lambda p: ("drrip", {
             "max_rrpv": p.max_rrpv,
             "long_prob": p.long_probability,
             "seed": p._seed,
@@ -170,10 +172,10 @@ _SPECS: dict[str, PolicySpec] = {
         DRRIPPolicy,
         lambda p: ("drrip", {
             "max_rrpv": p.max_rrpv,
-            "num_leader_sets": p.num_leader_sets,
-            "psel_max": p.psel_max,
             "long_prob": p.long_probability,
             "seed": p._seed,
+            "num_leader_sets": p.num_leader_sets,
+            "psel_max": p.psel_max,
         }),
     ),
     "ship": PolicySpec(SHiPPolicy, SHiPPolicy, _ship_kernel),

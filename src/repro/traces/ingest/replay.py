@@ -50,8 +50,9 @@ __all__ = ["CHECKPOINT_SCHEMA", "StreamReplayResult", "stream_replay"]
 #: Bumped whenever a pickled kernel's layout changes, so a checkpoint
 #: from an older layout is ignored (the replay restarts) instead of
 #: resuming into mismatched state.  v2: the Hawkeye/Glider samplers
-#: count OPT hits and store each sampled access's prediction.
-CHECKPOINT_SCHEMA = "repro.traces.ingest/checkpoint-v2"
+#: count OPT hits and store each sampled access's prediction.  v3:
+#: SRRIP and BRRIP run on the DRRIP kernel.
+CHECKPOINT_SCHEMA = "repro.traces.ingest/checkpoint-v3"
 
 _CKPT_STAGE = "ingest-checkpoint"
 
@@ -112,7 +113,6 @@ def _state_digest(kernel, filt) -> str:
 def _save_checkpoint(store, run_key, cursor, kernel, filt, llc_accesses):
     blob = pickle.dumps(
         {
-            "schema": CHECKPOINT_SCHEMA,
             "cursor": cursor,
             "kernel": kernel,
             "filter": filt,
@@ -132,11 +132,12 @@ def _load_checkpoint(store, run_key):
     loaded = store.get(run_key, _CKPT_STAGE, "latest")
     if loaded is None:
         return None
-    arrays, _metadata = loaded
-    state = pickle.loads(arrays["state"].tobytes())
-    if state.get("schema") != CHECKPOINT_SCHEMA:
+    arrays, metadata = loaded
+    # Checked before unpickling: an older layout may name classes that
+    # no longer exist.
+    if metadata.get("schema") != CHECKPOINT_SCHEMA:
         return None
-    return state
+    return pickle.loads(arrays["state"].tobytes())
 
 
 def stream_replay(

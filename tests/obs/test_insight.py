@@ -15,10 +15,15 @@ import pytest
 
 from repro.cache import CacheConfig
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.fastsim import make_stream_kernel, replay
+from repro.cache.fastsim import StreamChunk, make_stream_kernel, replay
 from repro.cache.hierarchy import LLCStream
+from repro.core.glider import GliderPolicy
+from repro.core.isvm import ISVM
 from repro.obs import insight, metrics
+from repro.policies.hawkeye import HawkeyePolicy
 from repro.policies.registry import make_policy
+from repro.policies.rrip import DRRIPPolicy
+from repro.policies.ship import SHiPPolicy
 
 
 @pytest.fixture(autouse=True)
@@ -237,3 +242,109 @@ class TestScoringParity:
         observed = replay(stream, policy_name, config)
         insight.disable()
         assert observed == baseline
+
+
+def _expected_model_state(policy) -> dict:
+    """The model-state gauges a fast kernel reports for ``policy``,
+    computed from the trained state of a reference-engine run."""
+
+    def saturated_fraction(counters, cmax):
+        return sum(1 for c in counters if c == 0 or c == cmax) / len(counters)
+
+    if isinstance(policy, DRRIPPolicy):
+        return {
+            "psel": policy.psel,
+            "psel_fraction": policy.psel / max(1, policy.psel_max),
+        }
+    if isinstance(policy, SHiPPolicy):
+        shct = policy.shct
+        return {
+            "shct_mean": sum(shct) / len(shct),
+            "shct_saturated_fraction": saturated_fraction(shct, policy.counter_max),
+        }
+    if isinstance(policy, HawkeyePolicy):
+        table = policy.predictor.table
+        return {
+            "counter_mean": sum(table) / len(table),
+            "counter_saturated_fraction": saturated_fraction(
+                table, policy.predictor.counter_max
+            ),
+        }
+    if isinstance(policy, GliderPolicy):
+        weights = [v for entry in policy.isvm._table for v in entry.weights if v]
+        return {
+            "isvm_weight_norm": sum(abs(v) for v in weights),
+            "isvm_saturated_weights": sum(
+                1 for v in weights if v <= ISVM.WEIGHT_MIN or v >= ISVM.WEIGHT_MAX
+            ),
+            "isvm_active_weights": len(weights),
+            "threshold": policy.isvm.threshold,
+        }
+    return {}
+
+
+def _drift_values(recorder: insight.DecisionRecorder) -> dict:
+    """policy -> signal -> the reported values, in report order."""
+    return {
+        policy: {name: [value for _, value in points] for name, points in series.items()}
+        for policy, series in recorder.to_artifact()["drift"].items()
+    }
+
+
+_MODEL_STATE_POLICIES = (
+    "drrip", "ship", "ship++", "hawkeye", "glider", "srrip", "brrip", "lru", "mpppb"
+)
+_REPORTING = ("drrip", "ship", "ship++", "hawkeye", "glider")
+
+
+class TestModelState:
+    """What each fast kernel passes to ``record_model_state``.
+
+    Only the fast kernels report model state, once per ``feed``; the
+    reference policies report decisions only, and ``step`` reports none.
+    """
+
+    @pytest.mark.parametrize("policy_name", _MODEL_STATE_POLICIES)
+    def test_replay_reports_trained_model_state(self, policy_name):
+        stream = _synthetic_stream(seed=3)
+        config = _llc()
+        reference = make_policy(policy_name)
+        recorder = insight.enable(config)
+        replay(stream, reference, config, engine="reference")
+        assert _drift_values(recorder) == {}
+
+        recorder = insight.enable(config)
+        replay(stream, policy_name, config, engine="fast")
+        insight.disable()
+        expected = _expected_model_state(reference)
+        assert bool(expected) == (policy_name in _REPORTING)
+        assert _drift_values(recorder) == (
+            {policy_name: {name: [float(v)] for name, v in expected.items()}}
+            if expected
+            else {}
+        )
+
+    @pytest.mark.parametrize("policy_name", _REPORTING)
+    def test_each_feed_reports_and_step_does_not(self, policy_name):
+        stream = _synthetic_stream(n=1200, seed=5)
+        config = _llc()
+        recorder = insight.enable(config)
+        kernel = make_stream_kernel(policy_name, config, engine="fast")
+        half = len(stream.addresses) // 2
+        for part in (slice(0, half), slice(half, None)):
+            kernel.feed(
+                StreamChunk(
+                    name=stream.name,
+                    pcs=stream.pcs[part],
+                    addresses=stream.addresses[part],
+                    kinds=stream.kinds[part],
+                    cores=stream.cores[part],
+                    levels=np.zeros(0, dtype=np.int8),
+                )
+            )
+        columns = kernel.decode(stream)
+        for i in range(10):
+            kernel.step(columns, i)
+        insight.disable()
+        series = _drift_values(recorder)[policy_name]
+        assert series and all(len(values) == 2 for values in series.values())

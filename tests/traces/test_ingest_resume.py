@@ -8,14 +8,17 @@ miss counts and the engine-state digest are bit-identical to an
 uninterrupted run.
 """
 
+import pickle
 import signal
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.cache import fastsim
 from repro.robust.store import ArtifactStore
 from repro.traces.ingest import stream_replay
 
@@ -135,3 +138,44 @@ def test_resume_past_end_detects_input_change(tmp_path):
             short, "lru", chunk_records=CHUNK, store=store, resume=True,
             run_key="clean.champsim.gz--lru--strict",
         )
+
+
+def test_stale_schema_checkpoint_reads_as_none(tmp_path, monkeypatch):
+    """A checkpoint written under an older schema, whose pickle names a
+    kernel class that no longer exists, must read as "no checkpoint":
+    the schema is checked before the blob is unpickled."""
+
+    class _RetiredKernel:
+        pass
+
+    _RetiredKernel.__module__ = fastsim.__name__
+    _RetiredKernel.__qualname__ = _RetiredKernel.__name__ = "_RetiredKernel"
+    monkeypatch.setattr(fastsim, "_RetiredKernel", _RetiredKernel, raising=False)
+    old_schema = "repro.traces.ingest/checkpoint-v2"
+    blob = pickle.dumps(
+        {"schema": old_schema, "cursor": 600, "kernel": _RetiredKernel(),
+         "filter": None, "llc_accesses": 0}
+    )
+    monkeypatch.undo()
+    assert not hasattr(fastsim, "_RetiredKernel")
+
+    store = ArtifactStore(tmp_path / "store")
+    store.put(
+        "clean.champsim.gz--srrip--strict",
+        "ingest-checkpoint",
+        "latest",
+        {"state": np.frombuffer(blob, dtype=np.uint8)},
+        metadata={"schema": old_schema, "cursor": 600},
+    )
+    resumed = stream_replay(
+        FIXTURE, "srrip", chunk_records=CHUNK, checkpoint_every=700,
+        store=store, resume=True,
+    )
+    full = stream_replay(
+        FIXTURE, "srrip", chunk_records=CHUNK, checkpoint_every=700,
+        store=ArtifactStore(tmp_path / "full"),
+    )
+    assert resumed.resumed_from is None
+    assert resumed.stats == full.stats
+    assert resumed.state_digest == full.state_digest
+    assert resumed.records == full.records == 3000
