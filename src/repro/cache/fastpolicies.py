@@ -4,8 +4,10 @@ and the learned policies.
 :class:`_StreamKernel` is the feed/step protocol and the per-set
 substrate (tag/dirty lists, fill counts, event counters) every kernel
 shares, the recency and random kernels in :mod:`repro.cache.fastsim`
-included.  :mod:`repro.cache.fastsim` dispatches into this module for
-the RRIP family — SRRIP, BRRIP and DRRIP's set-duelling PSEL on one
+included.  Each kernel has one loop, a coroutine: ``feed`` sends it a
+whole stream once, ``step`` sends a live one a single access.
+:mod:`repro.cache.fastsim` dispatches into this module for the RRIP
+family — SRRIP, BRRIP and DRRIP's set-duelling PSEL on one
 kernel — and for the policies whose victim choice depends on *learned*
 state: SHiP/SHiP++'s signature outcome table, the Hawkeye/Glider
 OPTgen-trained predictors, and the MPPPB/Perceptron hashed perceptrons.
@@ -100,12 +102,21 @@ class _StreamKernel:
 
     A kernel's loop reads per-access *columns* (mostly plain-int lists)
     that :meth:`decode` derives from a stream with vectorized NumPy; all
-    cross-access state lives in attributes.  :meth:`feed` runs the loop
-    over a whole stream.  :meth:`step` runs it over one access of a
-    stream decoded up front, for a caller that learns the access order
-    only as it goes (the multi-core timing loop) and would otherwise pay
-    the per-call NumPy decode on every access.  Any in-order mix of feeds
-    and steps equals one feed of the same accesses.
+    cross-access state lives in attributes.  Each kernel has exactly one
+    loop, a coroutine built by :meth:`_loop`: it loads the attributes
+    into locals once, then for each ``(columns, start, stop, record)``
+    sent to it runs accesses ``start..stop-1`` of ``columns`` and yields
+    the last one's hit bit, and it writes the scalars back when closed.
+    :meth:`feed` is one coroutine and one send over a whole stream.
+    :meth:`step` keeps one coroutine live across calls and sends it one
+    access of a stream decoded up front, for a caller that learns the
+    access order only as it goes (the multi-core timing loop, which
+    alternates several cores' columns) and would otherwise pay the
+    per-call NumPy decode and attribute reload on every access.  The
+    live coroutine is closed before anything reads the kernel's state:
+    :meth:`feed`, :meth:`finish` (and so :attr:`stats`) and pickling.
+    Any in-order mix of feeds and steps equals one feed of the same
+    accesses.
 
     The substrate every loop reads and :meth:`finish` reports lives
     here: per-set tag/dirty lists and fill counts, the six event
@@ -117,6 +128,9 @@ class _StreamKernel:
     policy = None
     #: Bypassed misses; only kernels whose policy can bypass count them.
     byp = 0
+    #: The coroutine :meth:`step` sends to; an instance attribute only
+    #: while live, so a pickled kernel never carries it.
+    _live = None
 
     def __init__(self, config: CacheConfig) -> None:
         num_sets, assoc = config.num_sets, config.associativity
@@ -132,7 +146,12 @@ class _StreamKernel:
         return _decode_stream(stream, self.config)
 
     def feed(self, stream, record=None) -> None:
-        self._run(self.decode(stream), record)
+        self._close()
+        columns = self.decode(stream)
+        loop = self._loop()
+        next(loop)
+        loop.send((columns, 0, len(columns[0]), record))
+        loop.close()
         rec = _insight_recorder(self.config)
         if rec is not None:
             state = self._model_state()
@@ -142,11 +161,29 @@ class _StreamKernel:
 
     def step(self, columns: tuple, i: int) -> bool:
         """Access ``i`` of decoded ``columns``; returns its hit bit."""
-        event: list = []
-        self._run([column[i : i + 1] for column in columns], event)
-        return event[0][0] == 1
+        loop = self._live
+        if loop is None:
+            loop = self._live = self._loop()
+            next(loop)
+        return loop.send((columns, i, i + 1, None))
+
+    def _close(self) -> None:
+        """Close :meth:`step`'s coroutine, writing its state back."""
+        loop = self._live
+        if loop is not None:
+            del self._live
+            loop.close()
+
+    def __getstate__(self) -> dict:
+        self._close()
+        return self.__dict__
+
+    def _loop(self):
+        """The kernel's coroutine (see the class docstring)."""
+        raise NotImplementedError
 
     def finish(self) -> CacheStats:
+        self._close()
         if self.policy is not None:
             self._write_back(self.policy)
         stats = CacheStats(name=self.config.name)
@@ -220,8 +257,10 @@ def _sampled_flags(stream, sampler: "_FlatOptGenSampler") -> list[bool]:
 def _insight_recorder(config: CacheConfig):
     """The active decision recorder iff it matches ``config``'s geometry.
 
-    Resolved once per :meth:`feed` call, never per access — the
-    disabled path costs the kernels exactly this one check.
+    Resolved once per kernel coroutine (one per :meth:`feed`, one per
+    run of :meth:`step` calls) and once per :meth:`feed` for model
+    state, never per access — the disabled path costs the kernels
+    exactly this one check.
     """
     rec = obs_insight.get_recorder()
     if rec is not None and not rec.matches(config.num_sets, config.associativity):
@@ -488,8 +527,8 @@ class _DRRIPKernel(_StreamKernel):
         self.draw_buf: list[float] = []
         self.draw_pos = 0
 
-    def _run(self, columns, record) -> None:
-        _drrip_feed(self, columns, record)
+    def _loop(self):
+        return _drrip_loop(self)
 
     def _write_back(self, policy) -> None:
         if self.duelling:
@@ -504,10 +543,9 @@ class _DRRIPKernel(_StreamKernel):
         }
 
 
-def _drrip_feed(kernel, columns, record) -> None:
+def _drrip_loop(kernel):
     # Attributes load into locals up front and store back after the loop,
     # so the hot loop keeps LOAD_FAST access.
-    sets, tags, kinds, cores = columns
     config = kernel.config
     num_sets, assoc = config.num_sets, config.associativity
     max_rrpv = kernel.max_rrpv
@@ -529,77 +567,86 @@ def _drrip_feed(kernel, columns, record) -> None:
     )
     pch = kernel.pch
     pcm = kernel.pcm
-    for i in range(len(sets)):
-        s = sets[i]
-        t = tags[i]
-        k = kinds[i]
-        row = tag_t[s]
-        if t in row:
-            w = row.index(t)
-            rrpv_t[s][w] = 0
-            if k != _KIND_LOAD:
-                dirty_t[s][w] = True
-            if k != _KIND_WRITEBACK:
-                dh += 1
-                c = cores[i]
-                pch[c] = pch.get(c, 0) + 1
-            else:
-                wh += 1
-            if record is not None:
-                record.append((1, 0, w, -1, 0))
-            continue
-        if k != _KIND_WRITEBACK:
-            dm += 1
-            c = cores[i]
-            pcm[c] = pcm.get(c, 0) + 1
-        else:
-            wm += 1
-        ev_tag, ev_dirty = -1, False
-        if fill_count[s] < assoc:
-            w = row.index(-1)
-            fill_count[s] += 1
-        else:
-            rr = rrpv_t[s]
-            while True:
-                for w in range(assoc):
-                    if rr[w] >= max_rrpv:
-                        break
-                else:
-                    for j in range(assoc):
-                        rr[j] += 1
+    hit = None
+    try:
+        while True:
+            (sets, tags, kinds, cores), start, stop, record = yield hit
+            for i in range(start, stop):
+                s = sets[i]
+                t = tags[i]
+                k = kinds[i]
+                row = tag_t[s]
+                if t in row:
+                    w = row.index(t)
+                    hit = True
+                    rrpv_t[s][w] = 0
+                    if k != _KIND_LOAD:
+                        dirty_t[s][w] = True
+                    if k != _KIND_WRITEBACK:
+                        dh += 1
+                        c = cores[i]
+                        pch[c] = pch.get(c, 0) + 1
+                    else:
+                        wh += 1
+                    if record is not None:
+                        record.append((1, 0, w, -1, 0))
                     continue
-                break
-            ev_tag, ev_dirty = row[w], dirty_t[s][w]
-            ev += 1
-            if ev_dirty:
-                dev += 1
-        row[w] = t
-        dirty_t[s][w] = k != _KIND_LOAD
-        # insertion_rrpv: a fill means this set missed — update PSEL if a
-        # duelling leader, then pick the insertion (only BRRIP draws).
-        r = role[s]
-        if r == 1:
-            if psel > 0:
-                psel -= 1
-        elif r == 2:
-            if psel < psel_max:
-                psel += 1
-        if r == 2 or (r == 0 and psel < half):
-            if draw_pos == len(draw_buf):
-                draw_buf = rng.random(size=4096).tolist()
-                draw_pos = 0
-            rrpv_t[s][w] = long_rrpv if draw_buf[draw_pos] < long_prob else max_rrpv
-            draw_pos += 1
-        else:
-            rrpv_t[s][w] = long_rrpv
-        if record is not None:
-            record.append((0, 0, w, ev_tag, int(ev_dirty)))
-    kernel.psel = psel
-    kernel.draw_buf = draw_buf
-    kernel.draw_pos = draw_pos
-    kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
-        dh, dm, wh, wm, ev, dev
-    )
+                if k != _KIND_WRITEBACK:
+                    dm += 1
+                    c = cores[i]
+                    pcm[c] = pcm.get(c, 0) + 1
+                else:
+                    wm += 1
+                hit = False
+                ev_tag, ev_dirty = -1, False
+                if fill_count[s] < assoc:
+                    w = row.index(-1)
+                    fill_count[s] += 1
+                else:
+                    rr = rrpv_t[s]
+                    while True:
+                        for w in range(assoc):
+                            if rr[w] >= max_rrpv:
+                                break
+                        else:
+                            for j in range(assoc):
+                                rr[j] += 1
+                            continue
+                        break
+                    ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                    ev += 1
+                    if ev_dirty:
+                        dev += 1
+                row[w] = t
+                dirty_t[s][w] = k != _KIND_LOAD
+                # insertion_rrpv: a fill means this set missed — update PSEL if a
+                # duelling leader, then pick the insertion (only BRRIP draws).
+                r = role[s]
+                if r == 1:
+                    if psel > 0:
+                        psel -= 1
+                elif r == 2:
+                    if psel < psel_max:
+                        psel += 1
+                if r == 2 or (r == 0 and psel < half):
+                    if draw_pos == len(draw_buf):
+                        draw_buf = rng.random(size=4096).tolist()
+                        draw_pos = 0
+                    rrpv_t[s][w] = (
+                        long_rrpv if draw_buf[draw_pos] < long_prob else max_rrpv
+                    )
+                    draw_pos += 1
+                else:
+                    rrpv_t[s][w] = long_rrpv
+                if record is not None:
+                    record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    finally:
+        kernel.psel = psel
+        kernel.draw_buf = draw_buf
+        kernel.draw_pos = draw_pos
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
+            dh, dm, wh, wm, ev, dev
+        )
 
 
 # -- SHiP / SHiP++ ------------------------------------------------------------
@@ -649,8 +696,8 @@ class _ShipKernel(_StreamKernel):
             _ship_signatures(stream.pcs, self.signature_bits),
         )
 
-    def _run(self, columns, record) -> None:
-        _ship_feed(self, columns, record)
+    def _loop(self):
+        return _ship_loop(self)
 
     def _write_back(self, policy) -> None:
         policy.shct = list(self.shct)
@@ -666,8 +713,7 @@ class _ShipKernel(_StreamKernel):
         }
 
 
-def _ship_feed(kernel, columns, record) -> None:
-    sets, tags, kinds, cores, sigs = columns
+def _ship_loop(kernel):
     config = kernel.config
     num_sets, assoc = config.num_sets, config.associativity
     plus = kernel.plus
@@ -687,90 +733,97 @@ def _ship_feed(kernel, columns, record) -> None:
     )
     pch = kernel.pch
     pcm = kernel.pcm
-    for i in range(len(sets)):
-        s = sets[i]
-        t = tags[i]
-        k = kinds[i]
-        row = tag_t[s]
-        if t in row:
-            w = row.index(t)
-            if k != _KIND_LOAD:
-                dirty_t[s][w] = True
-            if not (plus and k == _KIND_WRITEBACK):
-                # SHiP++ writeback hits neither promote nor train.
-                rrpv_t[s][w] = 0
-                sg = sig_t[s][w]
-                if sg >= 0 and not out_t[s][w]:
-                    out_t[s][w] = True
-                    if shct[sg] < counter_max:
-                        shct[sg] += 1
-            if k != _KIND_WRITEBACK:
-                dh += 1
-                c = cores[i]
-                pch[c] = pch.get(c, 0) + 1
-            else:
-                wh += 1
-            if record is not None:
-                record.append((1, 0, w, -1, 0))
-            continue
-        if k != _KIND_WRITEBACK:
-            dm += 1
-            c = cores[i]
-            pcm[c] = pcm.get(c, 0) + 1
-        else:
-            wm += 1
-        ev_tag, ev_dirty = -1, False
-        if fill_count[s] < assoc:
-            w = row.index(-1)
-            fill_count[s] += 1
-        else:
-            rr = rrpv_t[s]
-            while True:
-                for w in range(assoc):
-                    if rr[w] >= max_rrpv:
-                        break
-                else:
-                    for j in range(assoc):
-                        rr[j] += 1
+    hit = None
+    try:
+        while True:
+            (sets, tags, kinds, cores, sigs), start, stop, record = yield hit
+            for i in range(start, stop):
+                s = sets[i]
+                t = tags[i]
+                k = kinds[i]
+                row = tag_t[s]
+                if t in row:
+                    w = row.index(t)
+                    hit = True
+                    if k != _KIND_LOAD:
+                        dirty_t[s][w] = True
+                    if not (plus and k == _KIND_WRITEBACK):
+                        # SHiP++ writeback hits neither promote nor train.
+                        rrpv_t[s][w] = 0
+                        sg = sig_t[s][w]
+                        if sg >= 0 and not out_t[s][w]:
+                            out_t[s][w] = True
+                            if shct[sg] < counter_max:
+                                shct[sg] += 1
+                    if k != _KIND_WRITEBACK:
+                        dh += 1
+                        c = cores[i]
+                        pch[c] = pch.get(c, 0) + 1
+                    else:
+                        wh += 1
+                    if record is not None:
+                        record.append((1, 0, w, -1, 0))
                     continue
-                break
-            # on_evict: a sampled line evicted without reuse detrains.
-            sg = sig_t[s][w]
-            if sg >= 0 and not out_t[s][w] and shct[sg] > 0:
-                shct[sg] -= 1
-            ev_tag, ev_dirty = row[w], dirty_t[s][w]
-            ev += 1
-            if ev_dirty:
-                dev += 1
-        row[w] = t
-        dirty_t[s][w] = k != _KIND_LOAD
-        # on_fill: insertion RRPV from the (possibly just-detrained) SHCT.
-        if plus:
-            if k == _KIND_WRITEBACK:
-                rrpv_t[s][w] = max_rrpv
-            else:
-                c = shct[sigs[i]]
-                if c == 0:
-                    rrpv_t[s][w] = max_rrpv
-                elif c == counter_max:
-                    rrpv_t[s][w] = 0
+                if k != _KIND_WRITEBACK:
+                    dm += 1
+                    c = cores[i]
+                    pcm[c] = pcm.get(c, 0) + 1
                 else:
-                    rrpv_t[s][w] = long_rrpv
-            track = sampled[s] and k != _KIND_WRITEBACK
-        else:
-            rrpv_t[s][w] = max_rrpv if shct[sigs[i]] == 0 else long_rrpv
-            track = sampled[s]
-        if track:
-            sig_t[s][w] = sigs[i]
-            out_t[s][w] = False
-        else:
-            sig_t[s][w] = -1
-            out_t[s][w] = False
-        if record is not None:
-            record.append((0, 0, w, ev_tag, int(ev_dirty)))
-    kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
-        dh, dm, wh, wm, ev, dev
-    )
+                    wm += 1
+                hit = False
+                ev_tag, ev_dirty = -1, False
+                if fill_count[s] < assoc:
+                    w = row.index(-1)
+                    fill_count[s] += 1
+                else:
+                    rr = rrpv_t[s]
+                    while True:
+                        for w in range(assoc):
+                            if rr[w] >= max_rrpv:
+                                break
+                        else:
+                            for j in range(assoc):
+                                rr[j] += 1
+                            continue
+                        break
+                    # on_evict: a sampled line evicted without reuse detrains.
+                    sg = sig_t[s][w]
+                    if sg >= 0 and not out_t[s][w] and shct[sg] > 0:
+                        shct[sg] -= 1
+                    ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                    ev += 1
+                    if ev_dirty:
+                        dev += 1
+                row[w] = t
+                dirty_t[s][w] = k != _KIND_LOAD
+                # on_fill: insertion RRPV from the (possibly just-detrained) SHCT.
+                if plus:
+                    if k == _KIND_WRITEBACK:
+                        rrpv_t[s][w] = max_rrpv
+                    else:
+                        c = shct[sigs[i]]
+                        if c == 0:
+                            rrpv_t[s][w] = max_rrpv
+                        elif c == counter_max:
+                            rrpv_t[s][w] = 0
+                        else:
+                            rrpv_t[s][w] = long_rrpv
+                    track = sampled[s] and k != _KIND_WRITEBACK
+                else:
+                    rrpv_t[s][w] = max_rrpv if shct[sigs[i]] == 0 else long_rrpv
+                    track = sampled[s]
+                if track:
+                    sig_t[s][w] = sigs[i]
+                    out_t[s][w] = False
+                else:
+                    sig_t[s][w] = -1
+                    out_t[s][w] = False
+                if record is not None:
+                    record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    finally:
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
+            dh, dm, wh, wm, ev, dev
+        )
 
 
 # -- Hawkeye ------------------------------------------------------------------
@@ -789,8 +842,8 @@ class _HawkeyeKernel(_StreamKernel):
     (the detrain lands before the same access's insertion prediction).
 
     Chunk-feedable: the OPTgen sampler and counter table carry across
-    :func:`_hawkeye_feed` calls; per-chunk vectors (predictor indices,
-    line numbers, sampled flags) are decoded from each chunk.
+    :func:`_hawkeye_loop` coroutines; per-chunk vectors (predictor
+    indices, line numbers, sampled flags) are decoded from each chunk.
     """
 
     def __init__(
@@ -823,8 +876,8 @@ class _HawkeyeKernel(_StreamKernel):
             stream.pcs,  # read only by an installed insight recorder
         )
 
-    def _run(self, columns, record) -> None:
-        _hawkeye_feed(self, columns, record)
+    def _loop(self):
+        return _hawkeye_loop(self)
 
     def _write_back(self, policy) -> None:
         policy.predictor.table = list(self.table)
@@ -843,15 +896,14 @@ class _HawkeyeKernel(_StreamKernel):
         }
 
 
-def _hawkeye_feed(kernel, columns, record) -> None:
-    sets, tags, kinds, cores, pidx, lines, samp_acc, pcs = columns
+def _hawkeye_loop(kernel):
     config = kernel.config
     num_sets, assoc = config.num_sets, config.associativity
     counter_max = kernel.counter_max
     mid = (counter_max + 1) // 2
     table = kernel.table
     sampler_access = kernel.sampler.access
-    # Insight hooks: resolved once per feed; when no recorder is
+    # Insight hooks: resolved once per coroutine; when no recorder is
     # installed the loop pays one `is not None` test per sampled access
     # and per eviction, nothing more.
     rec = _insight_recorder(config)
@@ -874,113 +926,123 @@ def _hawkeye_feed(kernel, columns, record) -> None:
     pcm = kernel.pcm
     checks = kernel.prediction_checks
     correct = kernel.prediction_correct
-    for i in range(len(sets)):
-        s = sets[i]
-        t = tags[i]
-        k = kinds[i]
-        if k != _KIND_WRITEBACK and samp_acc[i]:
-            # The live prediction, read before this access's sampler
-            # events train the table — the same point in training order
-            # where the reference policy snapshots its context.  Each
-            # event scores the prediction stored with the labelled access.
-            cnt = table[pidx[i]]
-            friendly = cnt >= mid
-            if rec_access is not None:
-                rec_access(lines[i], int(pcs[i]), friendly, counter=cnt)
-            for tok, predicted, label in sampler_access(lines[i], pidx[i], friendly):
-                checks += 1
-                if predicted == label:
-                    correct += 1
-                c = table[tok]
-                if label:
-                    if c < counter_max:
-                        table[tok] = c + 1
-                elif c > 0:
-                    table[tok] = c - 1
-        row = tag_t[s]
-        if t in row:
-            w = row.index(t)
-            if k != _KIND_LOAD:
-                dirty_t[s][w] = True
-            if k != _KIND_WRITEBACK:
-                fr = table[pidx[i]] >= mid
-                fr_t[s][w] = fr
-                rrpv_t[s][w] = 0 if fr else _HAWKEYE_MAX_RRPV
+    hit = None
+    try:
+        while True:
+            columns, start, stop, record = yield hit
+            sets, tags, kinds, cores, pidx, lines, samp_acc, pcs = columns
+            for i in range(start, stop):
+                s = sets[i]
+                t = tags[i]
+                k = kinds[i]
+                if k != _KIND_WRITEBACK and samp_acc[i]:
+                    # The live prediction, read before this access's sampler
+                    # events train the table — the same point in training order
+                    # where the reference policy snapshots its context.  Each
+                    # event scores the prediction stored with the labelled access.
+                    cnt = table[pidx[i]]
+                    friendly = cnt >= mid
+                    if rec_access is not None:
+                        rec_access(lines[i], int(pcs[i]), friendly, counter=cnt)
+                    for tok, predicted, label in sampler_access(
+                        lines[i], pidx[i], friendly
+                    ):
+                        checks += 1
+                        if predicted == label:
+                            correct += 1
+                        c = table[tok]
+                        if label:
+                            if c < counter_max:
+                                table[tok] = c + 1
+                        elif c > 0:
+                            table[tok] = c - 1
+                row = tag_t[s]
+                if t in row:
+                    w = row.index(t)
+                    hit = True
+                    if k != _KIND_LOAD:
+                        dirty_t[s][w] = True
+                    if k != _KIND_WRITEBACK:
+                        fr = table[pidx[i]] >= mid
+                        fr_t[s][w] = fr
+                        rrpv_t[s][w] = 0 if fr else _HAWKEYE_MAX_RRPV
+                        pi_t[s][w] = pidx[i]
+                        dh += 1
+                        c = cores[i]
+                        pch[c] = pch.get(c, 0) + 1
+                    else:
+                        wh += 1
+                    if record is not None:
+                        record.append((1, 0, w, -1, 0))
+                    continue
+                if k != _KIND_WRITEBACK:
+                    dm += 1
+                    c = cores[i]
+                    pcm[c] = pcm.get(c, 0) + 1
+                else:
+                    wm += 1
+                hit = False
+                ev_tag, ev_dirty = -1, False
+                if fill_count[s] < assoc:
+                    w = row.index(-1)
+                    fill_count[s] += 1
+                else:
+                    rr = rrpv_t[s]
+                    w = -1
+                    for j in range(assoc):
+                        if rr[j] >= _HAWKEYE_MAX_RRPV:
+                            w = j
+                            break
+                    if w < 0:
+                        # No averse line: evict the highest-RRPV (first tie wins)
+                        # and detrain its last toucher before this access's
+                        # insertion prediction reads the table.
+                        w = 0
+                        best = rr[0]
+                        for j in range(1, assoc):
+                            if rr[j] > best:
+                                best = rr[j]
+                                w = j
+                        tok = pi_t[s][w]
+                        if table[tok] > 0:
+                            table[tok] = table[tok] - 1
+                    ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                    ev += 1
+                    if ev_dirty:
+                        dev += 1
+                    if rec_evict is not None:
+                        rec_evict(
+                            (ev_tag << rec_tag_shift) | s,
+                            predicted_friendly=fr_t[s][w],
+                            rrpv=rrpv_t[s][w],
+                        )
+                row[w] = t
+                dirty_t[s][w] = k != _KIND_LOAD
                 pi_t[s][w] = pidx[i]
-                dh += 1
-                c = cores[i]
-                pch[c] = pch.get(c, 0) + 1
-            else:
-                wh += 1
-            if record is not None:
-                record.append((1, 0, w, -1, 0))
-            continue
-        if k != _KIND_WRITEBACK:
-            dm += 1
-            c = cores[i]
-            pcm[c] = pcm.get(c, 0) + 1
-        else:
-            wm += 1
-        ev_tag, ev_dirty = -1, False
-        if fill_count[s] < assoc:
-            w = row.index(-1)
-            fill_count[s] += 1
-        else:
-            rr = rrpv_t[s]
-            w = -1
-            for j in range(assoc):
-                if rr[j] >= _HAWKEYE_MAX_RRPV:
-                    w = j
-                    break
-            if w < 0:
-                # No averse line: evict the highest-RRPV (first tie wins)
-                # and detrain its last toucher before this access's
-                # insertion prediction reads the table.
-                w = 0
-                best = rr[0]
-                for j in range(1, assoc):
-                    if rr[j] > best:
-                        best = rr[j]
-                        w = j
-                tok = pi_t[s][w]
-                if table[tok] > 0:
-                    table[tok] = table[tok] - 1
-            ev_tag, ev_dirty = row[w], dirty_t[s][w]
-            ev += 1
-            if ev_dirty:
-                dev += 1
-            if rec_evict is not None:
-                rec_evict(
-                    (ev_tag << rec_tag_shift) | s,
-                    predicted_friendly=fr_t[s][w],
-                    rrpv=rrpv_t[s][w],
-                )
-        row[w] = t
-        dirty_t[s][w] = k != _KIND_LOAD
-        pi_t[s][w] = pidx[i]
-        if k == _KIND_WRITEBACK:
-            fr_t[s][w] = False
-            rrpv_t[s][w] = _HAWKEYE_MAX_RRPV
-        else:
-            fr = table[pidx[i]] >= mid
-            fr_t[s][w] = fr
-            if fr:
-                rrpv_t[s][w] = 0
-                rr = rrpv_t[s]
-                frr = fr_t[s]
-                for j in range(assoc):
-                    if j != w and row[j] != -1 and frr[j]:
-                        v = rr[j] + 1
-                        rr[j] = v if v < _HAWKEYE_MAX_RRPV else _AGE_CAP
-            else:
-                rrpv_t[s][w] = _HAWKEYE_MAX_RRPV
-        if record is not None:
-            record.append((0, 0, w, ev_tag, int(ev_dirty)))
-    kernel.prediction_checks = checks
-    kernel.prediction_correct = correct
-    kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
-        dh, dm, wh, wm, ev, dev
-    )
+                if k == _KIND_WRITEBACK:
+                    fr_t[s][w] = False
+                    rrpv_t[s][w] = _HAWKEYE_MAX_RRPV
+                else:
+                    fr = table[pidx[i]] >= mid
+                    fr_t[s][w] = fr
+                    if fr:
+                        rrpv_t[s][w] = 0
+                        rr = rrpv_t[s]
+                        frr = fr_t[s]
+                        for j in range(assoc):
+                            if j != w and row[j] != -1 and frr[j]:
+                                v = rr[j] + 1
+                                rr[j] = v if v < _HAWKEYE_MAX_RRPV else _AGE_CAP
+                    else:
+                        rrpv_t[s][w] = _HAWKEYE_MAX_RRPV
+                if record is not None:
+                    record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    finally:
+        kernel.prediction_checks = checks
+        kernel.prediction_correct = correct
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
+            dh, dm, wh, wm, ev, dev
+        )
 
 
 # -- Glider -------------------------------------------------------------------
@@ -997,9 +1059,9 @@ class _GliderKernel(_StreamKernel):
 
     Chunk-feedable: ISVM weights, adaptive-threshold window, OPTgen
     sampler, PCHRs and per-line tables all carry across
-    :func:`_glider_feed` calls (the PCHR/history registers are re-read
-    from ``pchr`` at each feed, so chunk boundaries are invisible to
-    the training sequence).
+    :func:`_glider_loop` coroutines (the PCHR/history registers are
+    re-read from ``pchr`` by each coroutine, so chunk boundaries are
+    invisible to the training sequence).
     """
 
     def __init__(
@@ -1059,8 +1121,8 @@ class _GliderKernel(_StreamKernel):
             _sampled_flags(stream, self.sampler),
         )
 
-    def _run(self, columns, record) -> None:
-        _glider_feed(self, columns, record)
+    def _loop(self):
+        return _glider_loop(self)
 
     def _write_back(self, policy) -> None:
         from ..core.features import PCHistoryRegister
@@ -1108,7 +1170,7 @@ class _GliderKernel(_StreamKernel):
         }
 
 
-def _glider_feed(kernel, columns, record) -> None:
+def _glider_loop(kernel):
     from ..core.isvm import (
         AVERSE_SUM,
         HIGH_CONFIDENCE_SUM,
@@ -1117,7 +1179,6 @@ def _glider_feed(kernel, columns, record) -> None:
     )
 
     config = kernel.config
-    sets, tags, kinds, cores, pcs, eidx, whash, lines, samp_acc = columns
     num_sets, assoc = config.num_sets, config.associativity
     k = kernel.k
     adaptive = kernel.adaptive
@@ -1127,8 +1188,8 @@ def _glider_feed(kernel, columns, record) -> None:
     weights = kernel.weights
     wmin, wmax = ISVM.WEIGHT_MIN, ISVM.WEIGHT_MAX
     # The adaptive-threshold window and the training counters live in
-    # feed-locals (train() binds them via nonlocal for speed) and are
-    # persisted back to the kernel after the loop so chunked feeding
+    # coroutine locals (train() binds them via nonlocal for speed) and
+    # are persisted back to the kernel on close so chunked feeding
     # matches one-shot exactly.
     threshold = kernel.threshold
     hc_cut = kernel.hc_cut
@@ -1213,238 +1274,254 @@ def _glider_feed(kernel, columns, record) -> None:
     pcm = kernel.pcm
     checks = kernel.prediction_checks
     correct = kernel.prediction_correct
-    # hist/reg caches are re-derived from pchr per feed: every demand
-    # access re-reads them before use and writebacks never do, so
+    # hist/reg caches are re-derived from pchr per coroutine: every
+    # demand access re-reads them before use and writebacks never do, so
     # resetting at a chunk boundary cannot change behaviour.
     hist: tuple = ()
     reg_core = reg = None
-    for s, t, kn, core, pc, ei, whsh, ln, sa in zip(
-        sets, tags, kinds, cores, pcs, eidx, whash, lines, samp_acc
-    ):
-        if kn != _KIND_WRITEBACK:
-            # on_access: snapshot the PCHR *before* inserting this PC —
-            # prediction, training context and detraining all use it.
-            if core != reg_core:
-                reg = pchr.get(core)
-                if reg is None:
-                    reg = [[], [], ()]
-                    pchr[core] = reg
-                reg_core = core
-            reg_pcs = reg[0]
-            hist = reg[2]
-            if sa:
-                # Live prediction from the pre-insertion PCHR, read
-                # before this access's sampler events train — the same
-                # training-order point as the reference.  It is stored
-                # with the access; each event scores the stored one.
-                e0 = weights[ei]
-                tot0 = 0
-                for h in hist:
-                    tot0 += e0[h]
-                friendly = tot0 >= AVERSE_SUM
-                if rec_access is not None:
-                    rec_access(ln, pc, friendly, margin=tot0)
-                # Inlined _FlatOptGenSampler.access(ln, ei, hist), with
-                # train() called directly in the reference event order
-                # (reuse verdict first, then stale/overflow detrains).
-                sst = sstate[ln % snum]
-                socc = sst[0]
-                sbase = sst[1]
-                snow = sst[2]
-                slast = sst[3]
-                strk = sst[4]
-                sprev = slast.get(ln)
-                sfirst = sprev is None or sprev < sbase
-                shit = False
-                if not sfirst and sst[8] < sprev:
-                    shit = True
-                    sst[9] += 1
-                    snf = -1
-                    for oi in range(sprev - sbase, snow - sbase):
-                        sv = socc[oi] + 1
-                        socc[oi] = sv
-                        if sv == scap:
-                            snf = oi
-                    if snf >= 0:
-                        sst[8] = sbase + snf
-                sinfo = strk.get(ln)
-                if sinfo is not None:
-                    train(sinfo[0], sinfo[1], shit)
-                    checks += 1
-                    if sinfo[3] == shit:
-                        correct += 1
-                slast[ln] = snow
-                socc.append(0)
-                snow += 1
-                sst[2] = snow
-                sexc = len(socc) - swindow
-                if sexc > 0:
-                    del socc[:sexc]
-                    sbase += sexc
-                    sst[1] = sbase
-                if len(slast) > swindow4:
-                    sst[3] = {l: st for l, st in slast.items() if st >= sbase}
-                strk[ln] = (ei, hist, snow, friendly)
-                sby = sst[5]
-                sby[snow] = ln
-                sstale = None
-                sswept = sst[6]
-                if sswept < sbase:
-                    while sswept < sbase:
-                        sold = sby.pop(sswept, None)
-                        if sold is not None:
-                            sinfo = strk.get(sold)
-                            if sinfo is not None and sinfo[2] == sswept:
-                                if sstale is None:
-                                    sstale = [sold]
-                                else:
-                                    sstale.append(sold)
-                        sswept += 1
-                    sst[6] = sswept
-                sko = len(strk) - stways
-                if sko > 0:
-                    if sstale is not None:
-                        sko -= len(sstale)
-                    scur = sst[7]
-                    if scur < sbase:
-                        scur = sbase
-                    while sko > 0 and scur < snow:
-                        sold = sby.get(scur)
-                        if sold is not None:
-                            sinfo = strk.get(sold)
-                            if sinfo is not None and sinfo[2] == scur:
-                                if sstale is None:
-                                    sstale = [sold]
-                                else:
-                                    sstale.append(sold)
-                                sko -= 1
-                            del sby[scur]
-                        scur += 1
-                    sst[7] = scur
-                if sstale is not None:
-                    for sold in sstale:
-                        sinfo = strk.pop(sold)
-                        train(sinfo[0], sinfo[1], False)
-                        checks += 1
-                        if not sinfo[3]:
-                            correct += 1
-            if not reg_pcs or reg_pcs[0] != pc:
-                reg_hashes = reg[1]
-                if pc in reg_pcs:
-                    j = reg_pcs.index(pc)
-                    del reg_pcs[j]
-                    del reg_hashes[j]
-                reg_pcs.insert(0, pc)
-                reg_hashes.insert(0, whsh)
-                if len(reg_pcs) > k:
-                    reg_pcs.pop()
-                    reg_hashes.pop()
-                reg[2] = tuple(reg_hashes)
-        row = tag_t[s]
-        if t in row:
-            w = row.index(t)
-            if kn != _KIND_LOAD:
-                dirty_t[s][w] = True
-            if kn != _KIND_WRITEBACK:
-                e = weights[ei]
-                tot = 0
-                for h in hist:
-                    tot += e[h]
-                fr = tot >= AVERSE_SUM
-                fr_t[s][w] = fr
-                rrpv_t[s][w] = 0 if fr else max_rrpv
+    hit = None
+    try:
+        while True:
+            columns, start, stop, record = yield hit
+            sets, tags, kinds, cores, pcs, eidx, whash, lines, samp_acc = columns
+            for i in range(start, stop):
+                # Columns are read where they are used: writebacks need
+                # four, and a demand access reads its line and weight
+                # hash only when sampled or entering the PCHR.
+                s = sets[i]
+                t = tags[i]
+                kn = kinds[i]
+                ei = eidx[i]
+                if kn != _KIND_WRITEBACK:
+                    # on_access: snapshot the PCHR *before* inserting this PC —
+                    # prediction, training context and detraining all use it.
+                    core = cores[i]
+                    pc = pcs[i]
+                    if core != reg_core:
+                        reg = pchr.get(core)
+                        if reg is None:
+                            reg = [[], [], ()]
+                            pchr[core] = reg
+                        reg_core = core
+                    reg_pcs = reg[0]
+                    hist = reg[2]
+                    if samp_acc[i]:
+                        ln = lines[i]
+                        # Live prediction from the pre-insertion PCHR, read
+                        # before this access's sampler events train — the same
+                        # training-order point as the reference.  It is stored
+                        # with the access; each event scores the stored one.
+                        e0 = weights[ei]
+                        tot0 = 0
+                        for h in hist:
+                            tot0 += e0[h]
+                        friendly = tot0 >= AVERSE_SUM
+                        if rec_access is not None:
+                            rec_access(ln, pc, friendly, margin=tot0)
+                        # Inlined _FlatOptGenSampler.access(ln, ei, hist), with
+                        # train() called directly in the reference event order
+                        # (reuse verdict first, then stale/overflow detrains).
+                        sst = sstate[ln % snum]
+                        socc = sst[0]
+                        sbase = sst[1]
+                        snow = sst[2]
+                        slast = sst[3]
+                        strk = sst[4]
+                        sprev = slast.get(ln)
+                        sfirst = sprev is None or sprev < sbase
+                        shit = False
+                        if not sfirst and sst[8] < sprev:
+                            shit = True
+                            sst[9] += 1
+                            snf = -1
+                            for oi in range(sprev - sbase, snow - sbase):
+                                sv = socc[oi] + 1
+                                socc[oi] = sv
+                                if sv == scap:
+                                    snf = oi
+                            if snf >= 0:
+                                sst[8] = sbase + snf
+                        sinfo = strk.get(ln)
+                        if sinfo is not None:
+                            train(sinfo[0], sinfo[1], shit)
+                            checks += 1
+                            if sinfo[3] == shit:
+                                correct += 1
+                        slast[ln] = snow
+                        socc.append(0)
+                        snow += 1
+                        sst[2] = snow
+                        sexc = len(socc) - swindow
+                        if sexc > 0:
+                            del socc[:sexc]
+                            sbase += sexc
+                            sst[1] = sbase
+                        if len(slast) > swindow4:
+                            sst[3] = {l: st for l, st in slast.items() if st >= sbase}
+                        strk[ln] = (ei, hist, snow, friendly)
+                        sby = sst[5]
+                        sby[snow] = ln
+                        sstale = None
+                        sswept = sst[6]
+                        if sswept < sbase:
+                            while sswept < sbase:
+                                sold = sby.pop(sswept, None)
+                                if sold is not None:
+                                    sinfo = strk.get(sold)
+                                    if sinfo is not None and sinfo[2] == sswept:
+                                        if sstale is None:
+                                            sstale = [sold]
+                                        else:
+                                            sstale.append(sold)
+                                sswept += 1
+                            sst[6] = sswept
+                        sko = len(strk) - stways
+                        if sko > 0:
+                            if sstale is not None:
+                                sko -= len(sstale)
+                            scur = sst[7]
+                            if scur < sbase:
+                                scur = sbase
+                            while sko > 0 and scur < snow:
+                                sold = sby.get(scur)
+                                if sold is not None:
+                                    sinfo = strk.get(sold)
+                                    if sinfo is not None and sinfo[2] == scur:
+                                        if sstale is None:
+                                            sstale = [sold]
+                                        else:
+                                            sstale.append(sold)
+                                        sko -= 1
+                                    del sby[scur]
+                                scur += 1
+                            sst[7] = scur
+                        if sstale is not None:
+                            for sold in sstale:
+                                sinfo = strk.pop(sold)
+                                train(sinfo[0], sinfo[1], False)
+                                checks += 1
+                                if not sinfo[3]:
+                                    correct += 1
+                    if not reg_pcs or reg_pcs[0] != pc:
+                        reg_hashes = reg[1]
+                        if pc in reg_pcs:
+                            j = reg_pcs.index(pc)
+                            del reg_pcs[j]
+                            del reg_hashes[j]
+                        reg_pcs.insert(0, pc)
+                        reg_hashes.insert(0, whash[i])
+                        if len(reg_pcs) > k:
+                            reg_pcs.pop()
+                            reg_hashes.pop()
+                        reg[2] = tuple(reg_hashes)
+                row = tag_t[s]
+                if t in row:
+                    w = row.index(t)
+                    hit = True
+                    if kn != _KIND_LOAD:
+                        dirty_t[s][w] = True
+                    if kn != _KIND_WRITEBACK:
+                        e = weights[ei]
+                        tot = 0
+                        for h in hist:
+                            tot += e[h]
+                        fr = tot >= AVERSE_SUM
+                        fr_t[s][w] = fr
+                        rrpv_t[s][w] = 0 if fr else max_rrpv
+                        ei_t[s][w] = ei
+                        if detrain:
+                            ctx_t[s][w] = hist
+                        dh += 1
+                        pch[core] = pch.get(core, 0) + 1
+                    else:
+                        wh += 1
+                    if record is not None:
+                        record.append((1, 0, w, -1, 0))
+                    continue
+                if kn != _KIND_WRITEBACK:
+                    dm += 1
+                    pcm[core] = pcm.get(core, 0) + 1
+                else:
+                    wm += 1
+                hit = False
+                ev_tag, ev_dirty = -1, False
+                if fill_count[s] < assoc:
+                    w = row.index(-1)
+                    fill_count[s] += 1
+                else:
+                    rr = rrpv_t[s]
+                    w = -1
+                    for j in range(assoc):
+                        if rr[j] >= max_rrpv:
+                            w = j
+                            break
+                    if w < 0:
+                        w = 0
+                        best = rr[0]
+                        for j in range(1, assoc):
+                            if rr[j] > best:
+                                best = rr[j]
+                                w = j
+                        if detrain:
+                            # A predicted-friendly line evicted before reuse
+                            # refutes the prediction: detrain its insertion
+                            # context before this access's insertion predicts.
+                            ctx = ctx_t[s][w]
+                            if ctx is not None and fr_t[s][w]:
+                                train(ei_t[s][w], ctx, False)
+                    ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                    ev += 1
+                    if ev_dirty:
+                        dev += 1
+                    if rec_evict is not None:
+                        rec_evict(
+                            (ev_tag << rec_tag_shift) | s,
+                            predicted_friendly=fr_t[s][w],
+                            rrpv=rrpv_t[s][w],
+                        )
+                row[w] = t
+                dirty_t[s][w] = kn != _KIND_LOAD
                 ei_t[s][w] = ei
-                if detrain:
-                    ctx_t[s][w] = hist
-                dh += 1
-                pch[core] = pch.get(core, 0) + 1
-            else:
-                wh += 1
-            if record is not None:
-                record.append((1, 0, w, -1, 0))
-            continue
-        if kn != _KIND_WRITEBACK:
-            dm += 1
-            pcm[core] = pcm.get(core, 0) + 1
-        else:
-            wm += 1
-        ev_tag, ev_dirty = -1, False
-        if fill_count[s] < assoc:
-            w = row.index(-1)
-            fill_count[s] += 1
-        else:
-            rr = rrpv_t[s]
-            w = -1
-            for j in range(assoc):
-                if rr[j] >= max_rrpv:
-                    w = j
-                    break
-            if w < 0:
-                w = 0
-                best = rr[0]
-                for j in range(1, assoc):
-                    if rr[j] > best:
-                        best = rr[j]
-                        w = j
-                if detrain:
-                    # A predicted-friendly line evicted before reuse
-                    # refutes the prediction: detrain its insertion
-                    # context before this access's insertion predicts.
-                    ctx = ctx_t[s][w]
-                    if ctx is not None and fr_t[s][w]:
-                        train(ei_t[s][w], ctx, False)
-            ev_tag, ev_dirty = row[w], dirty_t[s][w]
-            ev += 1
-            if ev_dirty:
-                dev += 1
-            if rec_evict is not None:
-                rec_evict(
-                    (ev_tag << rec_tag_shift) | s,
-                    predicted_friendly=fr_t[s][w],
-                    rrpv=rrpv_t[s][w],
-                )
-        row[w] = t
-        dirty_t[s][w] = kn != _KIND_LOAD
-        ei_t[s][w] = ei
-        if kn == _KIND_WRITEBACK:
-            fr_t[s][w] = False
-            rrpv_t[s][w] = max_rrpv
-            ctx_t[s][w] = None
-        else:
-            e = weights[ei]
-            tot = 0
-            for h in hist:
-                tot += e[h]
-            if tot < AVERSE_SUM:
-                fr_t[s][w] = False
-                rrpv_t[s][w] = max_rrpv
-            else:
-                fr_t[s][w] = True
-                rrpv_t[s][w] = (
-                    2 if confidence_insertion and tot < hc_cut else 0
-                )
-                rr = rrpv_t[s]
-                frr = fr_t[s]
-                for j in range(assoc):
-                    if j != w and row[j] != -1 and frr[j]:
-                        v = rr[j] + 1
-                        rr[j] = v if v < max_rrpv else _AGE_CAP
-            ctx_t[s][w] = hist if detrain else None
-        if record is not None:
-            record.append((0, 0, w, ev_tag, int(ev_dirty)))
-    kernel.threshold = threshold
-    kernel.hc_cut = hc_cut
-    kernel.win_correct = win_correct
-    kernel.win_total = win_total
-    kernel.trainings = trainings
-    kernel.gated_updates = gated
-    # Every sampler event scored one prediction.
-    sampler.events_produced += checks - kernel.prediction_checks
-    kernel.prediction_checks = checks
-    kernel.prediction_correct = correct
-    kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
-        dh, dm, wh, wm, ev, dev
-    )
+                if kn == _KIND_WRITEBACK:
+                    fr_t[s][w] = False
+                    rrpv_t[s][w] = max_rrpv
+                    ctx_t[s][w] = None
+                else:
+                    e = weights[ei]
+                    tot = 0
+                    for h in hist:
+                        tot += e[h]
+                    if tot < AVERSE_SUM:
+                        fr_t[s][w] = False
+                        rrpv_t[s][w] = max_rrpv
+                    else:
+                        fr_t[s][w] = True
+                        rrpv_t[s][w] = (
+                            2 if confidence_insertion and tot < hc_cut else 0
+                        )
+                        rr = rrpv_t[s]
+                        frr = fr_t[s]
+                        for j in range(assoc):
+                            if j != w and row[j] != -1 and frr[j]:
+                                v = rr[j] + 1
+                                rr[j] = v if v < max_rrpv else _AGE_CAP
+                    ctx_t[s][w] = hist if detrain else None
+                if record is not None:
+                    record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    finally:
+        kernel.threshold = threshold
+        kernel.hc_cut = hc_cut
+        kernel.win_correct = win_correct
+        kernel.win_total = win_total
+        kernel.trainings = trainings
+        kernel.gated_updates = gated
+        # Every sampler event scored one prediction.
+        sampler.events_produced += checks - kernel.prediction_checks
+        kernel.prediction_checks = checks
+        kernel.prediction_correct = correct
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
+            dh, dm, wh, wm, ev, dev
+        )
 
 
 # -- hashed perceptron (MPPPB / Perceptron) -----------------------------------
@@ -1616,14 +1693,8 @@ class _PerceptronKernel(_StreamKernel):
             context.append(offset + _mix(fold, salt, bits))
         return tuple(context)
 
-    def _run(self, columns, record) -> None:
-        _perceptron_feed(self, columns, record, 0, len(columns[0]))
-
-    def step(self, columns: tuple, i: int) -> bool:
-        # One access in place: no per-step column slicing.
-        event: list = []
-        _perceptron_feed(self, columns, event, i, i + 1)
-        return event[0][0] == 1
+    def _loop(self):
+        return _perceptron_loop(self)
 
     def _write_back(self, policy) -> None:
         size = 1 << self.table_bits
@@ -1648,8 +1719,7 @@ class _PerceptronKernel(_StreamKernel):
         ]
 
 
-def _perceptron_feed(kernel, columns, record, start: int, stop: int) -> None:
-    sets, tags, kinds, cores, pcs, addresses, blocks, static = columns
+def _perceptron_loop(kernel):
     assoc = kernel.config.associativity
     max_rrpv = kernel.max_rrpv
     hold_rrpv = max_rrpv - 1
@@ -1689,127 +1759,136 @@ def _perceptron_feed(kernel, columns, record, start: int, stop: int) -> None:
     # Every demand access sets yout before reading it; writebacks never
     # read it.
     yout = 0
-    for i in range(start, stop):
-        s = sets[i]
-        t = tags[i]
-        k = kinds[i]
-        if k != _KIND_WRITEBACK:
-            # on_access: the context reads the pre-append history.
-            hctx = memo.get(history)
-            if hctx is None:
-                if len(memo) >= _HISTORY_MEMO_CAP:
-                    memo.clear()
-                hctx = memo[history] = history_context(history)
-            ctx = static[i] + hctx
-            si = sampler_of_set[s]
-            if si >= 0:
-                clock += 1
-                stags = s_tag[si]
-                b = blocks[i]
-                if b in stags:
-                    j = stags.index(b)
-                    # Reused: train toward "live" (delta -1).
-                    old = s_ctx[si][j]
-                    tot = sum(map(weight_of, old))
-                    if tot > 0 or -theta < tot < theta:
-                        for x in old:
-                            v = weights[x] - 1
-                            weights[x] = (
-                                wmin if v < wmin else (wmax if v > wmax else v)
-                            )
-                else:
-                    if -1 in stags:
-                        j = stags.index(-1)
+    hit = None
+    try:
+        while True:
+            columns, start, stop, record = yield hit
+            sets, tags, kinds, cores, pcs, addresses, blocks, static = columns
+            for i in range(start, stop):
+                s = sets[i]
+                t = tags[i]
+                k = kinds[i]
+                if k != _KIND_WRITEBACK:
+                    # on_access: the context reads the pre-append history.
+                    hctx = memo.get(history)
+                    if hctx is None:
+                        if len(memo) >= _HISTORY_MEMO_CAP:
+                            memo.clear()
+                        hctx = memo[history] = history_context(history)
+                    ctx = static[i] + hctx
+                    si = sampler_of_set[s]
+                    if si >= 0:
+                        clock += 1
+                        stags = s_tag[si]
+                        b = blocks[i]
+                        if b in stags:
+                            j = stags.index(b)
+                            # Reused: train toward "live" (delta -1).
+                            old = s_ctx[si][j]
+                            tot = sum(map(weight_of, old))
+                            if tot > 0 or -theta < tot < theta:
+                                for x in old:
+                                    v = weights[x] - 1
+                                    weights[x] = (
+                                        wmin if v < wmin else (wmax if v > wmax else v)
+                                    )
+                        else:
+                            if -1 in stags:
+                                j = stags.index(-1)
+                            else:
+                                lru = s_lru[si]
+                                j = lru.index(min(lru))
+                                # Evicted unreused: train toward "dead" (+1).
+                                old = s_ctx[si][j]
+                                tot = sum(map(weight_of, old))
+                                if tot <= 0 or -theta < tot < theta:
+                                    for x in old:
+                                        v = weights[x] + 1
+                                        weights[x] = (
+                                            wmin if v < wmin
+                                            else (wmax if v > wmax else v)
+                                        )
+                            stags[j] = b
+                        s_ctx[si][j] = ctx
+                        s_pc[si][j] = pcs[i]
+                        s_hist[si][j] = history
+                        s_addr[si][j] = addresses[i]
+                        s_lru[si][j] = clock
+                    # Every prediction of this access reads the trained weights.
+                    yout = sum(map(weight_of, ctx))
+                    inflight = history
+                    if keep >= 0:
+                        history = (pcs[i],) + history[:keep]
+                row = tag_t[s]
+                if t in row:
+                    w = row.index(t)
+                    hit = True
+                    if k != _KIND_LOAD:
+                        dirty_t[s][w] = True
+                    if k != _KIND_WRITEBACK:
+                        if yout <= promote_at_most:
+                            rrpv_t[s][w] = 0
+                        elif yout < hold_below:
+                            if rrpv_t[s][w] > hold_rrpv:
+                                rrpv_t[s][w] = hold_rrpv
+                        else:
+                            rrpv_t[s][w] = max_rrpv
+                        dh += 1
+                        c = cores[i]
+                        pch[c] = pch.get(c, 0) + 1
                     else:
-                        lru = s_lru[si]
-                        j = lru.index(min(lru))
-                        # Evicted unreused: train toward "dead" (+1).
-                        old = s_ctx[si][j]
-                        tot = sum(map(weight_of, old))
-                        if tot <= 0 or -theta < tot < theta:
-                            for x in old:
-                                v = weights[x] + 1
-                                weights[x] = (
-                                    wmin if v < wmin else (wmax if v > wmax else v)
-                                )
-                    stags[j] = b
-                s_ctx[si][j] = ctx
-                s_pc[si][j] = pcs[i]
-                s_hist[si][j] = history
-                s_addr[si][j] = addresses[i]
-                s_lru[si][j] = clock
-            # Every prediction of this access reads the trained weights.
-            yout = sum(map(weight_of, ctx))
-            inflight = history
-            if keep >= 0:
-                history = (pcs[i],) + history[:keep]
-        row = tag_t[s]
-        if t in row:
-            w = row.index(t)
-            if k != _KIND_LOAD:
-                dirty_t[s][w] = True
-            if k != _KIND_WRITEBACK:
-                if yout <= promote_at_most:
-                    rrpv_t[s][w] = 0
-                elif yout < hold_below:
-                    if rrpv_t[s][w] > hold_rrpv:
-                        rrpv_t[s][w] = hold_rrpv
+                        wh += 1
+                    if record is not None:
+                        record.append((1, 0, w, -1, 0))
+                    continue
+                if k != _KIND_WRITEBACK:
+                    dm += 1
+                    c = cores[i]
+                    pcm[c] = pcm.get(c, 0) + 1
                 else:
+                    wm += 1
+                hit = False
+                ev_tag, ev_dirty = -1, False
+                if fill_count[s] < assoc:
+                    w = row.index(-1)
+                    fill_count[s] += 1
+                else:
+                    if (
+                        k != _KIND_WRITEBACK
+                        and bypass_above is not None
+                        and yout > bypass_above
+                    ):
+                        byp += 1
+                        if record is not None:
+                            record.append((0, 1, -1, -1, 0))
+                        continue
+                    # rrip_victim in one step: age every line until the oldest
+                    # reaches max_rrpv, then evict the first line at max_rrpv.
+                    rr = rrpv_t[s]
+                    oldest = max(rr)
+                    if oldest < max_rrpv:
+                        age = max_rrpv - oldest
+                        rr[:] = [v + age for v in rr]
+                    w = rr.index(max_rrpv)
+                    ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                    ev += 1
+                    if ev_dirty:
+                        dev += 1
+                row[w] = t
+                dirty_t[s][w] = k != _KIND_LOAD
+                if k == _KIND_WRITEBACK or yout > cut_far:
                     rrpv_t[s][w] = max_rrpv
-                dh += 1
-                c = cores[i]
-                pch[c] = pch.get(c, 0) + 1
-            else:
-                wh += 1
-            if record is not None:
-                record.append((1, 0, w, -1, 0))
-            continue
-        if k != _KIND_WRITEBACK:
-            dm += 1
-            c = cores[i]
-            pcm[c] = pcm.get(c, 0) + 1
-        else:
-            wm += 1
-        ev_tag, ev_dirty = -1, False
-        if fill_count[s] < assoc:
-            w = row.index(-1)
-            fill_count[s] += 1
-        else:
-            if (
-                k != _KIND_WRITEBACK
-                and bypass_above is not None
-                and yout > bypass_above
-            ):
-                byp += 1
+                elif yout > cut_long:
+                    rrpv_t[s][w] = hold_rrpv
+                elif yout > cut_mid:
+                    rrpv_t[s][w] = mid_rrpv
+                else:
+                    rrpv_t[s][w] = 0
                 if record is not None:
-                    record.append((0, 1, -1, -1, 0))
-                continue
-            # rrip_victim in one step: age every line until the oldest
-            # reaches max_rrpv, then evict the first line at max_rrpv.
-            rr = rrpv_t[s]
-            oldest = max(rr)
-            if oldest < max_rrpv:
-                age = max_rrpv - oldest
-                rr[:] = [v + age for v in rr]
-            w = rr.index(max_rrpv)
-            ev_tag, ev_dirty = row[w], dirty_t[s][w]
-            ev += 1
-            if ev_dirty:
-                dev += 1
-        row[w] = t
-        dirty_t[s][w] = k != _KIND_LOAD
-        if k == _KIND_WRITEBACK or yout > cut_far:
-            rrpv_t[s][w] = max_rrpv
-        elif yout > cut_long:
-            rrpv_t[s][w] = hold_rrpv
-        elif yout > cut_mid:
-            rrpv_t[s][w] = mid_rrpv
-        else:
-            rrpv_t[s][w] = 0
-        if record is not None:
-            record.append((0, 0, w, ev_tag, int(ev_dirty)))
-    kernel.history = history
-    kernel.inflight = inflight
-    kernel.clock = clock
-    kernel.dh, kernel.dm, kernel.wh, kernel.wm = dh, dm, wh, wm
-    kernel.ev, kernel.dev, kernel.byp = ev, dev, byp
+                    record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    finally:
+        kernel.history = history
+        kernel.inflight = inflight
+        kernel.clock = clock
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm = dh, dm, wh, wm
+        kernel.ev, kernel.dev, kernel.byp = ev, dev, byp

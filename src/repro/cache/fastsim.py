@@ -12,9 +12,11 @@ This module provides:
 * **Fast-path kernels** — flat-list tag/dirty/last-touch/RRPV state per
   set (no per-line objects, no per-access allocation, set/tag splitting
   vectorized up front with NumPy).  Seven kernel classes serve twelve
-  policies.  The recency (LRU, MRU) and random kernels live here; the
-  RRIP kernel (SRRIP, BRRIP and DRRIP), SHiP/SHiP++, Hawkeye, Glider and
-  one hashed-perceptron kernel for MPPPB and Perceptron live in
+  policies, each with one coroutine loop that a whole-stream ``feed``
+  sends once and a ``step`` sends one access at a time.  The recency
+  (LRU, MRU) and random kernels live here; the RRIP kernel (SRRIP,
+  BRRIP and DRRIP), SHiP/SHiP++, Hawkeye, Glider and one
+  hashed-perceptron kernel for MPPPB and Perceptron live in
   :mod:`repro.cache.fastpolicies`, as does the substrate they share.
   Which policy takes which kernel, with which parameters, is declared
   once by ``kernel=`` on its :class:`~repro.policies.registry.PolicySpec`.
@@ -181,7 +183,8 @@ class _RecencyKernel(_StreamKernel):
     attributes so the kernel can be fed a stream in bounded-memory
     chunks (any number of :meth:`feed` calls, then :meth:`finish`) and
     pickled between chunks for checkpointed streaming replay; a one-shot
-    :func:`replay` is a single :meth:`feed` of the whole stream.
+    :func:`replay` is a single :meth:`feed` of the whole stream.  The
+    loop itself is the coroutine :func:`_recency_loop`.
     """
 
     def __init__(self, config: CacheConfig, newest: bool) -> None:
@@ -191,13 +194,12 @@ class _RecencyKernel(_StreamKernel):
         self.touch_t = [[0] * assoc for _ in range(num_sets)]
         self.counter = 0
 
-    def _run(self, columns, record) -> None:
-        _recency_feed(self, columns, record)
+    def _loop(self):
+        return _recency_loop(self)
 
 
-def _recency_feed(kernel, columns, record) -> None:
+def _recency_loop(kernel):
     config = kernel.config
-    sets, tags, kinds, cores = columns
     num_sets, assoc = config.num_sets, config.associativity
     newest = kernel.newest
     tag_t = kernel.tag_t
@@ -210,50 +212,57 @@ def _recency_feed(kernel, columns, record) -> None:
     )
     pch = kernel.pch
     pcm = kernel.pcm
-    for i in range(len(sets)):
-        s = sets[i]
-        t = tags[i]
-        k = kinds[i]
-        counter += 1
-        row = tag_t[s]
-        if t in row:
-            w = row.index(t)
-            touch_t[s][w] = counter
-            if k != _KIND_LOAD:
-                dirty_t[s][w] = True
-            if k != _KIND_WRITEBACK:
-                dh += 1
-                c = cores[i]
-                pch[c] = pch.get(c, 0) + 1
-            else:
-                wh += 1
-            if record is not None:
-                record.append((1, 0, w, -1, 0))
-            continue
-        if k != _KIND_WRITEBACK:
-            dm += 1
-            c = cores[i]
-            pcm[c] = pcm.get(c, 0) + 1
-        else:
-            wm += 1
-        ev_tag, ev_dirty = -1, False
-        if fill_count[s] < assoc:
-            w = row.index(-1)
-            fill_count[s] += 1
-        else:
-            tr = touch_t[s]
-            w = tr.index(max(tr)) if newest else tr.index(min(tr))
-            ev_tag, ev_dirty = row[w], dirty_t[s][w]
-            ev += 1
-            if ev_dirty:
-                dev += 1
-        row[w] = t
-        touch_t[s][w] = counter
-        dirty_t[s][w] = k != _KIND_LOAD
-        if record is not None:
-            record.append((0, 0, w, ev_tag, int(ev_dirty)))
-    kernel.dh, kernel.dm, kernel.wh, kernel.wm = dh, dm, wh, wm
-    kernel.ev, kernel.dev, kernel.counter = ev, dev, counter
+    hit = None
+    try:
+        while True:
+            (sets, tags, kinds, cores), start, stop, record = yield hit
+            for i in range(start, stop):
+                s = sets[i]
+                t = tags[i]
+                k = kinds[i]
+                counter += 1
+                row = tag_t[s]
+                if t in row:
+                    w = row.index(t)
+                    hit = True
+                    touch_t[s][w] = counter
+                    if k != _KIND_LOAD:
+                        dirty_t[s][w] = True
+                    if k != _KIND_WRITEBACK:
+                        dh += 1
+                        c = cores[i]
+                        pch[c] = pch.get(c, 0) + 1
+                    else:
+                        wh += 1
+                    if record is not None:
+                        record.append((1, 0, w, -1, 0))
+                    continue
+                if k != _KIND_WRITEBACK:
+                    dm += 1
+                    c = cores[i]
+                    pcm[c] = pcm.get(c, 0) + 1
+                else:
+                    wm += 1
+                hit = False
+                ev_tag, ev_dirty = -1, False
+                if fill_count[s] < assoc:
+                    w = row.index(-1)
+                    fill_count[s] += 1
+                else:
+                    tr = touch_t[s]
+                    w = tr.index(max(tr)) if newest else tr.index(min(tr))
+                    ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                    ev += 1
+                    if ev_dirty:
+                        dev += 1
+                row[w] = t
+                touch_t[s][w] = counter
+                dirty_t[s][w] = k != _KIND_LOAD
+                if record is not None:
+                    record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    finally:
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm = dh, dm, wh, wm
+        kernel.ev, kernel.dev, kernel.counter = ev, dev, counter
 
 
 class _RandomKernel(_StreamKernel):
@@ -272,13 +281,12 @@ class _RandomKernel(_StreamKernel):
         self.draw_buf: list[int] = []
         self.draw_pos = 0
 
-    def _run(self, columns, record) -> None:
-        _random_feed(self, columns, record)
+    def _loop(self):
+        return _random_loop(self)
 
 
-def _random_feed(kernel, columns, record) -> None:
+def _random_loop(kernel):
     config = kernel.config
-    sets, tags, kinds, cores = columns
     num_sets, assoc = config.num_sets, config.associativity
     tag_t = kernel.tag_t
     dirty_t = kernel.dirty_t
@@ -291,53 +299,60 @@ def _random_feed(kernel, columns, record) -> None:
     )
     pch = kernel.pch
     pcm = kernel.pcm
-    for i in range(len(sets)):
-        s = sets[i]
-        t = tags[i]
-        k = kinds[i]
-        row = tag_t[s]
-        if t in row:
-            w = row.index(t)
-            if k != _KIND_LOAD:
-                dirty_t[s][w] = True
-            if k != _KIND_WRITEBACK:
-                dh += 1
-                c = cores[i]
-                pch[c] = pch.get(c, 0) + 1
-            else:
-                wh += 1
-            if record is not None:
-                record.append((1, 0, w, -1, 0))
-            continue
-        if k != _KIND_WRITEBACK:
-            dm += 1
-            c = cores[i]
-            pcm[c] = pcm.get(c, 0) + 1
-        else:
-            wm += 1
-        ev_tag, ev_dirty = -1, False
-        if fill_count[s] < assoc:
-            w = row.index(-1)
-            fill_count[s] += 1
-        else:
-            if draw_pos == len(draw_buf):
-                draw_buf = rng.integers(assoc, size=4096).tolist()
-                draw_pos = 0
-            w = draw_buf[draw_pos]
-            draw_pos += 1
-            ev_tag, ev_dirty = row[w], dirty_t[s][w]
-            ev += 1
-            if ev_dirty:
-                dev += 1
-        row[w] = t
-        dirty_t[s][w] = k != _KIND_LOAD
-        if record is not None:
-            record.append((0, 0, w, ev_tag, int(ev_dirty)))
-    kernel.draw_buf = draw_buf
-    kernel.draw_pos = draw_pos
-    kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
-        dh, dm, wh, wm, ev, dev
-    )
+    hit = None
+    try:
+        while True:
+            (sets, tags, kinds, cores), start, stop, record = yield hit
+            for i in range(start, stop):
+                s = sets[i]
+                t = tags[i]
+                k = kinds[i]
+                row = tag_t[s]
+                if t in row:
+                    w = row.index(t)
+                    hit = True
+                    if k != _KIND_LOAD:
+                        dirty_t[s][w] = True
+                    if k != _KIND_WRITEBACK:
+                        dh += 1
+                        c = cores[i]
+                        pch[c] = pch.get(c, 0) + 1
+                    else:
+                        wh += 1
+                    if record is not None:
+                        record.append((1, 0, w, -1, 0))
+                    continue
+                if k != _KIND_WRITEBACK:
+                    dm += 1
+                    c = cores[i]
+                    pcm[c] = pcm.get(c, 0) + 1
+                else:
+                    wm += 1
+                hit = False
+                ev_tag, ev_dirty = -1, False
+                if fill_count[s] < assoc:
+                    w = row.index(-1)
+                    fill_count[s] += 1
+                else:
+                    if draw_pos == len(draw_buf):
+                        draw_buf = rng.integers(assoc, size=4096).tolist()
+                        draw_pos = 0
+                    w = draw_buf[draw_pos]
+                    draw_pos += 1
+                    ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                    ev += 1
+                    if ev_dirty:
+                        dev += 1
+                row[w] = t
+                dirty_t[s][w] = k != _KIND_LOAD
+                if record is not None:
+                    record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    finally:
+        kernel.draw_buf = draw_buf
+        kernel.draw_pos = draw_pos
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
+            dh, dm, wh, wm, ev, dev
+        )
 
 
 # Kernel kind -> chunk-feedable class (params as from fast_path_kernel).

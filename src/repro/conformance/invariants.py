@@ -41,7 +41,6 @@ from ..cache.cache import SetAssociativeCache
 from ..cache.config import CacheConfig, HierarchyConfig
 from ..cache.stats import CacheStats
 from ..cpu.system import MultiCoreSystem, SingleCoreSystem, SystemResult
-from ..cpu.timing import CoreTimingState, DramBus
 from ..optgen.optgen import OptGen, SetOptGen
 from ..policies.rrip import RRPV_KEY
 
@@ -231,64 +230,51 @@ def checked_replay(
 # -- timing model -------------------------------------------------------------
 
 
-class _MonotoneCore(CoreTimingState):
-    """Core timing that raises if its cycle count ever moves backwards."""
+def _check_timing_record(name: str, record: list, cores: list) -> None:
+    """Check a timing run's per-access record (see ``_time_cores``).
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self._seen = self.cycle
-        self._issues = 0
-
-    def _check(self, step: str) -> None:
-        if self.cycle < self._seen:
-            raise InvariantViolation(
-                f"cycle went back from {self._seen} to {self.cycle} in "
-                f"{step} after {self._issues} issues",
-                invariant="timing-cycles-monotone",
-                context={"before": self._seen, "after": self.cycle, "step": step},
-            )
-        self._seen = self.cycle
-
-    def advance_compute(self, instructions: float) -> None:
-        super().advance_compute(instructions)
-        self._check("advance_compute")
-
-    def issue_memory_access(self, latency: float, instructions_per_access: float) -> None:
-        super().issue_memory_access(latency, instructions_per_access)
-        self._issues += 1
-        self._check("issue_memory_access")
-
-    def drain(self) -> None:
-        super().drain()
-        self._check("drain")
-
-
-class _ExclusiveBus(DramBus):
-    """DRAM bus that raises if two line transfers ever share the bus.
-
-    Each request reserves ``[end - occupancy, end)``, where ``end`` is
-    the bus's next free time after the request; a reservation may not
-    start before the previous one ended, nor before it was requested.
+    ``cores`` holds each core's ``(timing, ipa)`` after the run.  Each
+    core's cycle never moves backwards: from the pipeline fill, through
+    the cycle after every issue, to the drained final cycle.  DRAM bus
+    reservations, in issue order, never start before the previous one
+    ended nor before they were requested.  And each core retires exactly
+    the instructions of the accesses the record says it issued.
     """
+    seen = [float(timing.pipeline_depth) for timing, _ in cores]
+    issued = [0] * len(cores)
+    busy_until = 0.0
+    for n, (core, cycle, dram) in enumerate(record):
+        if cycle < seen[core]:
+            _cycle_went_back(name, core, seen[core], cycle, f"access {n}")
+        seen[core] = cycle
+        issued[core] += 1
+        if dram is not None:
+            requested, start, end = dram
+            slack = 1e-9 * max(1.0, abs(end))
+            if start < busy_until - slack or start < requested - slack:
+                raise InvariantViolation(
+                    f"{name}: access {n} reserves DRAM [{start}, {end}) but "
+                    f"the bus is busy until {busy_until} (requested at "
+                    f"{requested})",
+                    invariant="dram-reservation-overlap",
+                    context={"start": start, "end": end, "busy_until": busy_until},
+                )
+            busy_until = end
+    for core, (timing, ipa) in enumerate(cores):
+        if timing.cycle < seen[core]:
+            _cycle_went_back(name, core, seen[core], timing.cycle, "drain")
+        _check_retired(
+            f"{name} core {core}", timing.ipc, timing.retired_instructions,
+            issued[core], ipa, timing.width,
+        )
 
-    def __init__(self, config) -> None:
-        super().__init__(config)
-        self._last_end = 0.0
 
-    def request(self, now: float) -> float:
-        done = super().request(now)
-        end = self._free_at
-        start = end - self.config.cycles_per_line()
-        slack = 1e-9 * max(1.0, abs(end))
-        if start < self._last_end - slack or start < now - slack:
-            raise InvariantViolation(
-                f"DRAM transfer {self.transfers} reserves [{start}, {end}) "
-                f"but the bus is busy until {self._last_end} (requested at {now})",
-                invariant="dram-reservation-overlap",
-                context={"start": start, "end": end, "busy_until": self._last_end},
-            )
-        self._last_end = end
-        return done
+def _cycle_went_back(name: str, core: int, before: float, after: float, step: str):
+    raise InvariantViolation(
+        f"{name}: core {core} cycle went back from {before} to {after} at {step}",
+        invariant="timing-cycles-monotone",
+        context={"core": core, "before": before, "after": after, "step": step},
+    )
 
 
 def check_timing_result(result: SystemResult, trace, width: int) -> None:
@@ -332,14 +318,16 @@ def checked_single_core(
 ) -> SystemResult:
     """:class:`SingleCoreSystem` run with every timing invariant checked.
 
-    Swaps the system's core and DRAM bus for self-checking subclasses
-    (same arithmetic, so the result is unchanged), then checks the
-    result against the trace.
+    Has the timing loop record every access (which leaves the result
+    unchanged), checks the record, then checks the result against the
+    trace.
     """
     system = SingleCoreSystem(config, policy, width=width, rob_entries=rob_entries)
-    system.core = _MonotoneCore(width=width, rob_entries=rob_entries)
-    system.dram = _ExclusiveBus(config.dram)
+    system._timing_record = record = []
     result = system.run(trace)
+    _check_timing_record(
+        result.name, record, [(system.core, trace.instructions_per_access)]
+    )
     check_timing_result(result, trace, width)
     return result
 
@@ -354,16 +342,17 @@ def checked_multi_core(
 ) -> SystemResult:
     """:class:`MultiCoreSystem` run with every timing invariant checked.
 
-    Swaps each core's timing and the shared DRAM bus for self-checking
-    subclasses (same arithmetic, so the result is unchanged), then
-    checks every core: IPC within the issue width, and ``quota *
-    max(1, ipa)`` instructions retired.
+    Has the timing loop record every access (which leaves the result
+    unchanged), checks the record, then checks every core: IPC within
+    the issue width, and ``quota * max(1, ipa)`` instructions retired.
     """
     system = MultiCoreSystem(traces, config, policy, width=width, rob_entries=rob_entries)
-    for core in system.cores:
-        core.timing = _MonotoneCore(width=width, rob_entries=rob_entries)
-    system.dram = _ExclusiveBus(config.dram)
+    system._timing_record = record = []
     result = system.run(quota)
+    _check_timing_record(
+        result.name, record,
+        [(core.timing, core.trace.instructions_per_access) for core in system.cores],
+    )
     for core in system.cores:
         _check_retired(
             f"{result.name} core {core.core_id}", core.timing.ipc,

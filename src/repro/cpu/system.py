@@ -71,7 +71,15 @@ class SingleCoreSystem:
     levels included), so callers timing one trace under several
     policies filter it once.  The L1/L2 are the same at every core
     count, so one stream serves every ``scaled_hierarchy`` geometry.
+
+    A system runs once: its clock, bus and LLC policy carry the run's
+    state, so a second :meth:`run` raises :class:`RuntimeError`.
     """
+
+    _ran = False
+    #: Set to a list to collect :func:`_time_cores`' per-access record
+    #: (the timing invariant checkers do).
+    _timing_record: list | None = None
 
     def __init__(
         self,
@@ -98,6 +106,7 @@ class SingleCoreSystem:
                 f"{stream.name}: stream has {len(stream.levels)} service "
                 f"levels, trace {trace.name} has {len(trace)} accesses"
             )
+        _run_once(self)
         events: list = []
         llc = fastsim.replay(stream, self.llc_policy, self.config, record=events)
         hits = [event[0] for event in events]
@@ -105,6 +114,7 @@ class SingleCoreSystem:
             [(self.core, trace.instructions_per_access, stream, hits.__getitem__)],
             self.dram,
             self.config,
+            self._timing_record,
         )
         return SystemResult(
             name=trace.name,
@@ -178,8 +188,12 @@ class MultiCoreSystem:
     the quota :meth:`run` will be asked for, so the systems of one mix
     share a single filter pass.
     :func:`repro.conformance.multi_core.reference_multi_core` is the
-    per-access oracle it must match exactly.
+    per-access oracle it must match exactly.  Like
+    :class:`SingleCoreSystem`, it runs once.
     """
+
+    _ran = False
+    _timing_record: list | None = None
 
     def __init__(
         self,
@@ -221,6 +235,7 @@ class MultiCoreSystem:
         )
         if any(len(stream.levels) != quota_accesses for stream in streams):
             raise ValueError(f"streams were not filtered for {quota_accesses} accesses")
+        _run_once(self)
         llc = self.llc
         _time_cores(
             [
@@ -234,6 +249,7 @@ class MultiCoreSystem:
             ],
             self.dram,
             self.config,
+            self._timing_record,
         )
         total_instructions = sum(c.timing.retired_instructions for c in self.cores)
         cycles = max(c.timing.cycle for c in self.cores)
@@ -248,7 +264,22 @@ class MultiCoreSystem:
         )
 
 
-def _time_cores(cores: list[tuple], dram: DramBus, config: HierarchyConfig) -> None:
+def _run_once(system) -> None:
+    """A system's clock, bus and LLC kernel start fresh only once."""
+    if system._ran:
+        raise RuntimeError(
+            f"{type(system).__name__}.run() was already called; "
+            "build a new system for another run"
+        )
+    system._ran = True
+
+
+def _time_cores(
+    cores: list[tuple],
+    dram: DramBus,
+    config: HierarchyConfig,
+    record: list | None = None,
+) -> None:
     """Issue every core's accesses in simulated-time order, then drain.
 
     ``cores`` holds one ``(timing, ipa, stream, hit)`` per core: its
@@ -259,10 +290,21 @@ def _time_cores(cores: list[tuple], dram: DramBus, config: HierarchyConfig) -> N
     private L1/L2 hits on its own and waits on the heap with its cycle
     before its next LLC request, ties going to the lower core id.  The
     last core left runs to its end without the heap.
+
+    The core and bus arithmetic is inlined (see :func:`_core_accesses`);
+    the final state is written back into each ``timing`` and ``dram``,
+    so they read as if their own methods had run.  ``record``, when
+    given, receives one ``(core_id, cycle, dram)`` per access in issue
+    order: the core's cycle after the issue, and ``dram`` the
+    ``(requested, start, end)`` bus reservation of an LLC demand miss,
+    None otherwise — what the timing invariants are checked on.
     """
+    # The bus's next free time and transfer count, shared by the cores;
+    # only the core the heap just resumed touches it.
+    bus = [dram._free_at, dram.transfers]
     heap = []
     for core_id, core in enumerate(cores):
-        accesses = _core_accesses(*core, dram, config)
+        accesses = _core_accesses(core_id, *core, bus, config, record)
         cycle = next(accesses, None)
         if cycle is not None:
             heap.append((cycle, core_id, accesses))
@@ -277,26 +319,43 @@ def _time_cores(cores: list[tuple], dram: DramBus, config: HierarchyConfig) -> N
     for _, _, accesses in heap:
         for _ in accesses:
             pass
-    for timing, *_ in cores:
-        timing.drain()
+    dram._free_at, dram.transfers = bus
 
 
-def _core_accesses(timing, ipa, stream, hit, dram, config):
+def _core_accesses(core_id, timing, ipa, stream, hit, bus, config, record):
     """Time one core's accesses in order, yielding its cycle before each
-    LLC request; the request runs when the generator is resumed."""
+    LLC request; the request runs when the generator is resumed.
+
+    The clock, retired count, ROB deque and bus state are locals, and
+    every update is :meth:`CoreTimingState.advance_compute`,
+    :meth:`DramBus.request`, :meth:`CoreTimingState.issue_memory_access`
+    and, at the end, :meth:`CoreTimingState.drain`: the same float
+    operations in the same order.
+    """
     compute = max(0.0, ipa - 1.0)
+    compute_cycles = compute / timing.width
+    window = timing.rob_access_window(ipa)
     upper = (level_latency(config, "l1"), level_latency(config, "l2"))
     llc_latency = level_latency(config, "llc")
+    dram_latency = config.dram.latency
+    occupancy = config.dram.cycles_per_line()
     llc_level = LLCStream.LEVEL_LLC
     # A demand miss is followed in the stream by the writeback of the L2
     # line it displaced, if that line was dirty; the trailing False
     # covers the last request.
     writebacks = (stream.kinds == LLCStream.KIND_WRITEBACK).tolist() + [False]
+    inflight = timing._inflight
+    retire_oldest = inflight.popleft
+    cycle = timing.cycle
+    retired = timing.retired_instructions
+    last_retire = timing._last_retire
+    reservation = None
     r = 0
     for level in stream.levels.tolist():
         if level == llc_level:
-            yield timing.cycle
-        timing.advance_compute(compute)
+            yield cycle
+        cycle += compute_cycles
+        retired += compute
         if level != llc_level:
             latency = upper[level]
         else:
@@ -308,6 +367,34 @@ def _core_accesses(timing, ipa, stream, hit, dram, config):
             if demand_hit:
                 latency = llc_latency
             else:
-                done = dram.request(timing.cycle)
-                latency = llc_latency + (done - timing.cycle)
-        timing.issue_memory_access(latency, ipa)
+                free_at = bus[0]
+                start = free_at if free_at > cycle else cycle
+                bus[0] = start + occupancy
+                bus[1] += 1
+                # DramBus.request's completion: queueing counts twice.
+                done = start + dram_latency + (start - cycle)
+                latency = llc_latency + (done - cycle)
+                if record is not None:
+                    reservation = (cycle, start, bus[0])
+        # ROB-full stall: wait for the oldest in-flight access to retire.
+        while len(inflight) >= window:
+            oldest = retire_oldest()
+            if oldest > cycle:
+                cycle = oldest
+        complete = cycle + latency
+        # In-order retirement: completion can't precede older completions.
+        if complete < last_retire:
+            complete = last_retire
+        last_retire = complete
+        inflight.append(complete)
+        retired += 1
+        if record is not None:
+            record.append((core_id, cycle, reservation))
+            reservation = None
+    while inflight:
+        oldest = retire_oldest()
+        if oldest > cycle:
+            cycle = oldest
+    timing.cycle = cycle
+    timing.retired_instructions = retired
+    timing._last_retire = last_retire

@@ -19,6 +19,13 @@ interval-style simulation at memory-access granularity:
 The model intentionally omits branch mispredictions, dependent-load
 serialisation and prefetching; DESIGN.md records these as substitution
 simplifications.
+
+:class:`CoreTimingState` and :class:`DramBus` state this model one
+method per event.  They serve the per-access reference oracles in
+:mod:`repro.conformance`; the systems' shared timing loop
+(``repro.cpu.system._time_cores``) inlines the same float operations
+in the same order and writes its final state back into these objects,
+so a result reads the same either way.
 """
 
 from __future__ import annotations
@@ -38,7 +45,15 @@ class DramBus:
         self.transfers = 0
 
     def request(self, now: float) -> float:
-        """Issue a line transfer at time ``now``; returns completion time."""
+        """Issue a line transfer at time ``now``; returns completion time.
+
+        The transfer starts at ``start = max(now, free)``, when the bus
+        is next free, and the returned completion is ``start + latency
+        + (start - now)``.  The queueing delay ``start - now`` is counted
+        twice: once through ``start`` and once more as the added term,
+        so a queued miss waits ``2 * (start - now) + latency`` after
+        ``now``.  The reference oracles share the formula.
+        """
         start = max(now, self._free_at)
         occupancy = self.config.cycles_per_line()
         self._free_at = start + occupancy

@@ -34,8 +34,9 @@ into the :mod:`repro.obs.metrics` registry (``insight.*`` keys, with
 optional constant labels such as ``shard=N`` for the serving stack).
 
 Disabled-path contract: when no recorder is installed the *only* cost
-to the hot simulation loops is one module-function call per feed and
-one ``is not None`` test per sampled access / eviction — never a dict
+to the hot simulation loops is one module-function call per kernel
+coroutine (one per feed, one per run of steps) and one ``is not None``
+test per sampled access / eviction — never a dict
 lookup or attribute chase per access.
 """
 

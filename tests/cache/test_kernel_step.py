@@ -1,11 +1,12 @@
 """The feed/step protocol every replay kernel shares.
 
 The multi-core timing loop steps the shared LLC kernel one request at a
-time; ingest checkpoints pickle kernels between chunks.  Any in-order
-mix of ``feed`` chunks, single ``step`` calls and pickle round-trips
-must equal one ``feed`` of the same stream: the same hit bits, the same
-``finish()`` stats and the same trained state written back into the
-policy instance.
+time, alternating the cores' decoded columns; ingest checkpoints pickle
+kernels between chunks.  Any in-order mix of ``feed`` chunks, single
+``step`` calls (on one or several decoded streams) and pickle
+round-trips must equal one ``feed`` of the same stream: the same hit
+bits, the same ``finish()`` stats and the same trained state written
+back into the policy instance.
 """
 
 from __future__ import annotations
@@ -75,6 +76,35 @@ def test_any_mix_of_feeds_steps_and_pickles_equals_one_feed(policy, seed, plan):
         if round_trip:
             kernel = pickle.loads(pickle.dumps(kernel))
         start = stop
+    assert (hits, kernel.finish(), _trained_state(_policy_of(kernel))) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    policy=st.sampled_from(POLICIES),
+    seed=st.integers(0, 2**16),
+    num_cores=st.integers(2, 4),
+)
+def test_steps_interleaved_across_decoded_cores_equal_one_feed(policy, seed, num_cores):
+    """The multi-core timing loop decodes each core's stream once and
+    steps the cores in whatever order their clocks dictate, switching
+    columns on nearly every request.  Stepping a random interleaving of
+    separately decoded per-core streams must equal one feed of the
+    merged order."""
+    stream = _synthetic_stream(n=600, seed=seed, line_count=96)
+    owner = np.random.default_rng(seed).integers(num_cores, size=len(stream.pcs))
+    stream.cores = owner
+    config = _llc()
+    expected = _one_feed(stream, policy, config)
+
+    kernel = make_stream_kernel(make_policy(policy), config)
+    mine = [np.flatnonzero(owner == core) for core in range(num_cores)]
+    columns = [kernel.decode(take(stream, indices)) for indices in mine]
+    position = [0] * num_cores
+    hits = []
+    for core in owner.tolist():
+        hits.append(int(kernel.step(columns[core], position[core])))
+        position[core] += 1
     assert (hits, kernel.finish(), _trained_state(_policy_of(kernel))) == expected
 
 

@@ -1,20 +1,23 @@
-"""Intentional fastsim bugs for mutation-testing the conformance suite.
+"""Intentional bugs for mutation-testing the conformance suite.
 
 A conformance suite that has never caught a bug is untested itself.
 These helpers install a *known-wrong* fast-path kernel so the tests can
 assert the fuzzer catches it, the shrinker minimises it, and the parity
-error localises it.  They are test fixtures, never shipped behaviour.
+error localises it, and corrupt the timing loop's per-access record so
+the tests can assert each timing invariant trips.  They are test
+fixtures, never shipped behaviour.
 """
 
 from __future__ import annotations
 
 import repro.cache.fastsim as fastsim
+import repro.cpu.system as system
 
 
 class OffByOneRecencyKernel(fastsim._RecencyKernel):
     """The LRU/MRU stream kernel with an off-by-one in the victim choice.
 
-    Identical to :func:`repro.cache.fastsim._recency_feed` except the
+    Identical to :func:`repro.cache.fastsim._recency_loop` except the
     chosen victim way is rotated by one — the classic indexing bug a
     fast-path rewrite can introduce.  Diverges from the reference
     engine on the first eviction from any full set.
@@ -78,3 +81,18 @@ def install_lru_off_by_one(monkeypatch) -> None:
         "lru",
         lambda cfg, **params: OffByOneRecencyKernel(cfg, newest=False, **params),
     )
+
+
+def corrupt_timing_record(monkeypatch, corrupt) -> None:
+    """Have every timing run hand its record to ``corrupt`` afterwards.
+
+    ``corrupt(record)`` edits the list of ``(core_id, cycle, dram)``
+    entries in place, before the invariant checkers read it.
+    """
+    time_cores = system._time_cores
+
+    def corrupted(cores, dram, config, record=None):
+        time_cores(cores, dram, config, record)
+        corrupt(record)
+
+    monkeypatch.setattr(system, "_time_cores", corrupted)

@@ -214,18 +214,35 @@ def test_fast_path_builds_no_reference_cache(monkeypatch, traces):
 
 
 def test_invariants_catch_lost_instructions(monkeypatch, traces):
-    """A core that retires one instruction too few trips the check."""
-    from repro.conformance import invariants
+    """An access the record says core 0 issued, whose instructions it
+    never retired, trips the check."""
+    from .mutations import corrupt_timing_record
 
-    issue = invariants._MonotoneCore.issue_memory_access
+    def issue_unretired(record):
+        n = next(
+            n for n, (core, _, dram) in enumerate(record) if core == 0 and dram is None
+        )
+        record.insert(n, record[n])
 
-    def short_retire(self, latency, ipa):
-        issue(self, latency, ipa)
-        if self._issues == 1:
-            self.retired_instructions -= 1
-
-    monkeypatch.setattr(invariants._MonotoneCore, "issue_memory_access", short_retire)
+    corrupt_timing_record(monkeypatch, issue_unretired)
     mix = [traces["mcf"], traces["lbm"]]
     with pytest.raises(InvariantViolation) as info:
         checked_multi_core(CONFIG.hierarchy(cores=2), "lru", mix, 300)
     assert info.value.invariant == "timing-instructions"
+
+
+def test_invariants_catch_a_cycle_going_back(monkeypatch, traces):
+    """A core whose cycle after an issue is below its previous one trips
+    the check."""
+    from .mutations import corrupt_timing_record
+
+    def rewind(record):
+        before, n = [n for n, (core, _, _) in enumerate(record) if core == 1][9:11]
+        core, _, dram = record[n]
+        record[n] = (core, record[before][1] - 1.0, dram)
+
+    corrupt_timing_record(monkeypatch, rewind)
+    mix = [traces["mcf"], traces["lbm"]]
+    with pytest.raises(InvariantViolation) as info:
+        checked_multi_core(CONFIG.hierarchy(cores=2), "lru", mix, 300)
+    assert info.value.invariant == "timing-cycles-monotone"

@@ -179,29 +179,23 @@ def test_fast_path_builds_no_reference_cache(monkeypatch, traces):
     assert 0 < result.hawkeye <= 1 and 0 < result.glider <= 1
 
 
-class _SkippingBus:
-    """A DRAM bus that lets every transfer start at its request time."""
+def test_invariants_catch_overlapping_dram_reservations(monkeypatch, traces):
+    """A bus that lets every transfer start at its request time overlaps
+    back-to-back misses, and the record check must say so."""
+    from .mutations import corrupt_timing_record
 
-    def __init__(self, bus) -> None:
-        self.bus = bus
+    occupancy = CONFIG.hierarchy().dram.cycles_per_line()
 
-    def request(self, now: float) -> float:
-        self.bus._free_at = min(self.bus._free_at, now)
-        return self.bus.request(now)
+    def skip_queue(record):
+        for n, (core, cycle, dram) in enumerate(record):
+            if dram is not None:
+                requested = dram[0]
+                end = requested + occupancy
+                record[n] = (core, cycle, (requested, requested, end))
 
-
-def test_invariants_catch_overlapping_dram_reservations(traces):
-    from repro.conformance import invariants
-
-    config = CONFIG.hierarchy()
-    system = SingleCoreSystem(config, "lru")
-    system.core = invariants._MonotoneCore()
-    bus = invariants._ExclusiveBus(config.dram)
-    system.dram = _SkippingBus(bus)
-    # The skipping wrapper resets the bus's free time behind the checker's
-    # back, so the second back-to-back miss must trip the overlap check.
+    corrupt_timing_record(monkeypatch, skip_queue)
     with pytest.raises(InvariantViolation) as info:
-        system.run(traces["lbm"])
+        checked_single_core(CONFIG.hierarchy(), "lru", traces["lbm"])
     assert info.value.invariant == "dram-reservation-overlap"
 
 

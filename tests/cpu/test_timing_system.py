@@ -99,6 +99,16 @@ class TestSingleCoreSystem:
         assert 0 <= result.llc_miss_rate <= 1
         assert result.mpki >= 0
 
+    def test_second_run_raises(self, small_hierarchy, mixed_trace):
+        """The clock, bus and policy carry the first run's state: a
+        second run would silently continue it."""
+        system = SingleCoreSystem(small_hierarchy, "lru")
+        first = system.run(mixed_trace)
+        with pytest.raises(RuntimeError, match="build a new system"):
+            system.run(mixed_trace)
+        again = SingleCoreSystem(small_hierarchy, "lru").run(mixed_trace)
+        assert (again.cycles, again.instructions) == (first.cycles, first.instructions)
+
     def test_better_policy_higher_ipc(self, scan_trace, small_hierarchy):
         lru = SingleCoreSystem(small_hierarchy, make_policy("lru")).run(scan_trace)
         hawkeye = SingleCoreSystem(small_hierarchy, make_policy("hawkeye")).run(
@@ -128,6 +138,16 @@ class TestMultiCoreSystem:
         system = MultiCoreSystem(traces, small_hierarchy, LRUPolicy())
         shared = system.run(2000).per_core_ipc[0]
         assert shared <= alone * 1.1  # small tolerance for wrap effects
+
+    def test_second_run_raises(self, small_hierarchy):
+        traces = self.make_traces(2)
+        system = MultiCoreSystem(traces, small_hierarchy, "lru")
+        first = system.run(500)
+        with pytest.raises(RuntimeError, match="build a new system"):
+            system.run(500)
+        again = MultiCoreSystem(traces, small_hierarchy, "lru").run(500)
+        assert again.cycles == first.cycles
+        assert again.per_core_ipc == first.per_core_ipc
 
     def test_requires_traces(self, small_hierarchy):
         with pytest.raises(ValueError):
