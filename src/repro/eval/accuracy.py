@@ -12,12 +12,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ..cache.hierarchy import simulate_llc
 from ..perf.parallel import RunContext
 from ..ml.svm import OfflineHawkeye, OfflineISVM, OrderedHistorySVM
 from ..ml.training import train_linear_model, train_lstm
-from ..policies.hawkeye import HawkeyePolicy
-from ..core.glider import GliderPolicy
 from .runner import DEFAULT, ArtifactCache, ExperimentConfig
 from .tables import arithmetic_mean
 
@@ -122,17 +119,14 @@ class OnlineAccuracyResult:
 def _online_accuracy_benchmark(
     benchmark: str, *, cache: ArtifactCache
 ) -> OnlineAccuracyResult:
-    """One Figure 10 group (module-level so it pickles into pool workers)."""
-    config = cache.config
-    stream = cache.llc_stream(benchmark)
-    hawkeye = HawkeyePolicy()
-    simulate_llc(stream, hawkeye, config.hierarchy())
-    glider = GliderPolicy()
-    simulate_llc(stream, glider, config.hierarchy())
+    """One Figure 10 group (module-level so it pickles into pool workers).
+
+    The accuracies come from the cache's Hawkeye and Glider replays, the
+    same runs Figure 11 reads its miss rates from."""
     return OnlineAccuracyResult(
         benchmark=benchmark,
-        hawkeye=hawkeye.online_accuracy,
-        glider=glider.online_accuracy,
+        hawkeye=cache.replay(benchmark, "hawkeye").online_accuracy,
+        glider=cache.replay(benchmark, "glider").online_accuracy,
     )
 
 

@@ -59,22 +59,24 @@ def _missrate_benchmark(
 ) -> MissRateResult:
     """One Figure 11 row (module-level so a ``functools.partial`` of it
     pickles into process-pool workers)."""
-    hierarchy = cache.config.hierarchy()
-    stream = cache.llc_stream(benchmark)
     # Policies go in by registry name (each a fresh instance, so each
-    # takes its fast kernel when it has one); unknown names raise
-    # UnknownPolicyError.
-    lru_stats = simulate_llc(stream, "lru", hierarchy)
+    # takes its fast kernel when it has one), replayed once per cache:
+    # Figure 10 reads its accuracies off the same runs.  Unknown names
+    # raise UnknownPolicyError.
+    lru_stats = cache.replay(benchmark, "lru").stats
     rates: dict[str, float] = {}
     hits: dict[str, int] = {"lru": lru_stats.hits}
     for policy in policies:
-        stats = simulate_llc(stream, policy, hierarchy)
+        stats = cache.replay(benchmark, policy).stats
         rates[policy] = stats.demand_miss_rate
         hits[policy] = stats.hits
     belady_rate = None
     belady_hits = None
     if include_belady:
-        stats = simulate_llc(stream, BeladyPolicy.from_stream(stream), hierarchy)
+        stream = cache.llc_stream(benchmark)
+        stats = simulate_llc(
+            stream, BeladyPolicy.from_stream(stream), cache.config.hierarchy()
+        )
         belady_rate = stats.demand_miss_rate
         belady_hits = stats.hits
     try:

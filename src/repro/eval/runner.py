@@ -4,8 +4,9 @@ Every table/figure experiment draws from the same pipeline:
 
     trace -> (L1/L2 filter) -> LLC stream -> {policy replay | Belady labels}
 
-Streams and labelled traces are cached per (benchmark, config) so a full
-benchmark run touches each expensive stage once.
+Streams, labelled traces and policy replays are cached per (benchmark,
+config) so a full benchmark run touches each expensive stage once.
+Replays are kept in memory only.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from ..cache.config import HierarchyConfig, scaled_hierarchy
-from ..cache.hierarchy import LLCStream, filter_to_llc_stream
+from ..cache.hierarchy import LLCStream, filter_to_llc_stream, simulate_llc
+from ..cache.stats import CacheStats
 from ..ml.dataset import LabelledTrace, label_trace
 from ..ml.model import LSTMConfig
+from ..policies.registry import make_policy
 from ..robust.store import ArtifactStore
 from ..traces.suite import FULL_SUITE, OFFLINE_BENCHMARKS, get_trace
 from ..traces.trace import Trace
@@ -158,8 +161,18 @@ def _labelled_from_arrays(arrays: dict, meta: dict) -> LabelledTrace:
     )
 
 
+@dataclass(frozen=True)
+class LLCReplay:
+    """What one policy's replay of a benchmark's LLC stream leaves behind:
+    its stats, and the online predictor accuracy of a policy that trains
+    as it goes (None for the others)."""
+
+    stats: CacheStats
+    online_accuracy: float | None
+
+
 class ArtifactCache:
-    """Two-tier cache of traces, LLC streams, and Belady labels.
+    """Two-tier cache of traces, LLC streams, Belady labels and replays.
 
     Tier 1 is the original per-process dict; tier 2 (optional) is a
     crash-safe, checksummed :class:`~repro.robust.store.ArtifactStore`
@@ -167,6 +180,7 @@ class ArtifactCache:
     store attached, a rerun — or a resumed run after a crash — reloads
     streams and labels instead of recomputing them; corrupt entries are
     quarantined by the store and regenerated transparently here.
+    Policy replays (:meth:`replay`) live in tier 1 only.
     """
 
     def __init__(
@@ -178,6 +192,7 @@ class ArtifactCache:
         self.store = ArtifactStore(store) if isinstance(store, (str, Path)) else store
         self._streams: dict[str, LLCStream] = {}
         self._labelled: dict[str, LabelledTrace] = {}
+        self._replays: dict[tuple[str, str], LLCReplay] = {}
 
     def __getstate__(self) -> dict:
         # A pool worker gets (config, store root) and starts with an empty
@@ -254,6 +269,22 @@ class ArtifactCache:
         self._labelled[benchmark] = labelled
         return labelled
 
+    def replay(self, benchmark: str, policy_name: str) -> LLCReplay:
+        """A fresh ``policy_name`` instance replayed on the benchmark's LLC
+        stream, once per cache: Figures 10 and 11 share the run.  Only the
+        stats and online accuracy are kept, never the trained instance;
+        callers must not mutate the returned stats."""
+        key = (benchmark, policy_name)
+        if key not in self._replays:
+            policy = make_policy(policy_name)
+            stats = simulate_llc(
+                self.llc_stream(benchmark), policy, self.config.hierarchy()
+            )
+            self._replays[key] = LLCReplay(
+                stats, getattr(policy, "online_accuracy", None)
+            )
+        return self._replays[key]
+
     def _label(self, benchmark: str) -> LabelledTrace:
         stream = self.llc_stream(benchmark)
         hierarchy = self.config.hierarchy()
@@ -273,3 +304,4 @@ class ArtifactCache:
         """Drop the in-memory tier (the disk store, if any, is kept)."""
         self._streams.clear()
         self._labelled.clear()
+        self._replays.clear()
