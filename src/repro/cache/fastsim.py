@@ -11,15 +11,18 @@ This module provides:
 
 * **Fast-path kernels** — flat-list tag/dirty/last-touch/RRPV state per
   set (no per-line objects, no per-access allocation, set/tag splitting
-  vectorized up front with NumPy).  Seven kernel classes serve twelve
-  policies, each with one coroutine loop that a whole-stream ``feed``
-  sends once and a ``step`` sends one access at a time.  The recency
-  (LRU, MRU) and random kernels live here; the RRIP kernel (SRRIP,
-  BRRIP and DRRIP), SHiP/SHiP++, Hawkeye, Glider and one
-  hashed-perceptron kernel for MPPPB and Perceptron live in
-  :mod:`repro.cache.fastpolicies`, as does the substrate they share.
+  vectorized up front with NumPy).  Eight kernel classes serve the
+  twelve registry policies plus Belady's MIN, each with one coroutine
+  loop that a whole-stream ``feed`` sends once and a ``step`` sends one
+  access at a time.  The recency (LRU, MRU), random and MIN kernels
+  live here; the RRIP kernel (SRRIP, BRRIP and DRRIP), SHiP/SHiP++,
+  Hawkeye, Glider and one hashed-perceptron kernel for MPPPB and
+  Perceptron live in :mod:`repro.cache.fastpolicies`, as does the
+  substrate they share.
   Which policy takes which kernel, with which parameters, is declared
-  once by ``kernel=`` on its :class:`~repro.policies.registry.PolicySpec`.
+  once by ``kernel=`` on its :class:`~repro.policies.registry.PolicySpec`;
+  MIN, built from the stream it replays and so not a registry policy,
+  resolves in :func:`fast_path_kernel` itself.
 * **A shared engine protocol** — :func:`replay` dispatches a policy
   (registry name or instance) to its fast kernel when one exists and
   falls back *transparently* to the reference engine otherwise, so
@@ -55,6 +58,8 @@ from ..obs import insight as obs_insight
 from ..obs import instrument as obs_instrument
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..optgen.belady import INF
+from ..policies.belady_policy import BeladyPolicy
 from ..policies.registry import make_policy, policy_specs, spec_for_instance
 from .block import AccessType, CacheRequest
 from .config import CacheConfig, HierarchyConfig, scaled_hierarchy
@@ -144,7 +149,9 @@ def fast_path_kernel(policy) -> tuple[str, dict] | None:
     :func:`~repro.policies.registry.make_policy` builds; an instance
     resolves by *exact* type to its registry spec, which reads every
     parameter off it, so a subclass with overridden hooks is never
-    silently fast-pathed.
+    silently fast-pathed.  A :class:`~repro.policies.belady_policy.BeladyPolicy`
+    has no registry spec but resolves the same way: its exact type takes
+    the MIN kernel, with the policy's next-use column.
 
     The instance is assumed fresh — an un-drawn RNG and untrained
     tables, which is how every experiment constructs them — because a
@@ -156,6 +163,8 @@ def fast_path_kernel(policy) -> tuple[str, dict] | None:
     """
     if isinstance(policy, str):
         policy = make_policy(policy)
+    if type(policy) is BeladyPolicy:
+        return "belady", {"next_use": policy._next_use}
     spec = spec_for_instance(policy)
     if spec is None or spec.kernel is None:
         return None
@@ -355,6 +364,117 @@ def _random_loop(kernel):
         )
 
 
+class _BeladyKernel(_StreamKernel):
+    """Belady's MIN fast kernel over a pre-recorded stream.
+
+    Each resident line keeps its next use, an index into the recorded
+    stream (``INF`` for none), in the per-set list ``nu_t``, and a hit
+    moves it on.  A miss bypasses a line never used again, fills the
+    first free way, or evicts the furthest next use (the first way on
+    ties) unless the newcomer's is no sooner, when it bypasses.  The
+    next-use column is indexed by the kernel's own running
+    ``access_index``, which counts every access fed or stepped, exactly
+    as :class:`_ReferenceKernel` numbers its requests; an access beyond
+    the recorded stream raises :class:`IndexError`, as
+    :class:`~repro.policies.belady_policy.BeladyPolicy` does.
+    """
+
+    def __init__(self, config: CacheConfig, next_use) -> None:
+        super().__init__(config)
+        num_sets, assoc = config.num_sets, config.associativity
+        self.next_use = next_use.tolist()
+        self.nu_t = [[INF] * assoc for _ in range(num_sets)]
+        self.access_index = 0
+
+    def _loop(self):
+        return _belady_loop(self)
+
+
+def _belady_loop(kernel):
+    config = kernel.config
+    assoc = config.associativity
+    tag_t = kernel.tag_t
+    nu_t = kernel.nu_t
+    dirty_t = kernel.dirty_t
+    fill_count = kernel.fill_count
+    next_use = kernel.next_use
+    dh, dm, wh, wm, ev, dev, byp, n = (
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm,
+        kernel.ev, kernel.dev, kernel.byp, kernel.access_index,
+    )
+    pch = kernel.pch
+    pcm = kernel.pcm
+    hit = None
+    try:
+        while True:
+            (sets, tags, kinds, cores), start, stop, record = yield hit
+            for i in range(start, stop):
+                try:
+                    nu = next_use[n]
+                except IndexError:
+                    raise IndexError(
+                        "access beyond the pre-recorded stream; MIN must be "
+                        "replayed on exactly the stream it was built from"
+                    ) from None
+                n += 1
+                s = sets[i]
+                t = tags[i]
+                k = kinds[i]
+                row = tag_t[s]
+                if t in row:
+                    w = row.index(t)
+                    hit = True
+                    nu_t[s][w] = nu
+                    if k != _KIND_LOAD:
+                        dirty_t[s][w] = True
+                    if k != _KIND_WRITEBACK:
+                        dh += 1
+                        c = cores[i]
+                        pch[c] = pch.get(c, 0) + 1
+                    else:
+                        wh += 1
+                    if record is not None:
+                        record.append((1, 0, w, -1, 0))
+                    continue
+                if k != _KIND_WRITEBACK:
+                    dm += 1
+                    c = cores[i]
+                    pcm[c] = pcm.get(c, 0) + 1
+                else:
+                    wm += 1
+                hit = False
+                ev_tag, ev_dirty = -1, False
+                if nu == INF:
+                    w = -1
+                elif fill_count[s] < assoc:
+                    w = row.index(-1)
+                    fill_count[s] += 1
+                else:
+                    nr = nu_t[s]
+                    far = max(nr)
+                    # The newcomer reused no sooner than every resident
+                    # line is the furthest-reused: bypass it.
+                    w = nr.index(far) if far > nu else -1
+                    if w >= 0:
+                        ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                        ev += 1
+                        if ev_dirty:
+                            dev += 1
+                if w < 0:
+                    byp += 1
+                    if record is not None:
+                        record.append((0, 1, -1, -1, 0))
+                    continue
+                row[w] = t
+                nu_t[s][w] = nu
+                dirty_t[s][w] = k != _KIND_LOAD
+                if record is not None:
+                    record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    finally:
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm = dh, dm, wh, wm
+        kernel.ev, kernel.dev, kernel.byp, kernel.access_index = ev, dev, byp, n
+
+
 # Kernel kind -> chunk-feedable class (params as from fast_path_kernel).
 # "drrip" is the whole RRIP family: srrip and brrip take it too, with no
 # leader sets.
@@ -367,6 +487,7 @@ _STREAM_KERNELS = {
     "hawkeye": _HawkeyeKernel,
     "glider": _GliderKernel,
     "perceptron": _PerceptronKernel,
+    "belady": _BeladyKernel,
 }
 
 

@@ -292,11 +292,10 @@ def simulate_llc(
     Dispatches through :func:`repro.cache.fastsim.replay`.  A registry
     name is shorthand for a fresh instance, and an instance of a class
     with a kernel (LRU/MRU/random/SRRIP/BRRIP/DRRIP/SHiP/SHiP++/Hawkeye/
-    Glider/MPPPB/Perceptron) takes it, built from the instance's own
-    parameters.  A
-    learned kernel writes its trained state back into the instance, so
-    e.g. ``policy.online_accuracy`` reads the same as after a reference
-    replay.  Everything else runs the reference engine.  Both engines
+    Glider/MPPPB/Perceptron, and Belady's MIN) takes it, built from the
+    instance's own parameters.  A learned kernel writes its trained
+    state back into the instance, so e.g. ``policy.online_accuracy``
+    reads the same as after a reference replay.  Everything else runs the reference engine.  Both engines
     are access-by-access equivalent (see the fastsim parity suite).
     """
     from .fastsim import replay

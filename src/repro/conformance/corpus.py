@@ -28,7 +28,7 @@ from ..cache.config import CacheConfig
 from ..cache.fastsim import FAST_PATH_POLICIES, EngineParityError, verify_parity
 from ..cache.hierarchy import LLCStream
 from ..robust.store import ArtifactStore
-from .differential import cross_validate_optgen
+from .differential import MIN_POLICY, check_min, cross_validate_optgen
 from .generators import CaseSpec
 from .invariants import InvariantViolation, checked_replay
 
@@ -173,7 +173,12 @@ def replay_entry(entry: CorpusEntry, invariant_every: int = 64) -> list[str]:
     problems: list[str] = []
     fast_path = set(FAST_PATH_POLICIES)
     for policy in entry.policies:
-        if policy in fast_path:
+        if policy == MIN_POLICY:
+            problems.extend(
+                f"{entry.name}/{policy}: {kind}: {message}"
+                for kind, message, _ in check_min(entry.stream, entry.config)
+            )
+        elif policy in fast_path:
             try:
                 verify_parity(entry.stream, policy, entry.config)
             except EngineParityError as error:

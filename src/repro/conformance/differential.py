@@ -14,6 +14,11 @@ is pushed through every check relevant to each registry policy:
   exceed brute-force Belady MIN's on the same line sequence (MIN with
   bypass is optimal per set, so any policy exceeding it proves a
   simulator bug, not a clever policy);
+* **MIN itself** — :class:`~repro.policies.belady_policy.BeladyPolicy`
+  is built from the stream it replays, so it has no registry name and
+  is checked once per case whatever the policy list: a fresh instance
+  per engine, compared event by event, and the fast kernel's total hit
+  count *equal* to the brute-force optimum (MIN attains it);
 * **OPTgen cross-validation** — unbounded OPTgen must *equal* MIN's
   hit count exactly, the hardware-windowed variant must never exceed
   the unbounded one, and the occupancy vector must satisfy its
@@ -30,16 +35,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cache.fastsim import FAST_PATH_POLICIES, EngineParityError, verify_parity
+from ..cache.config import CacheConfig
+from ..cache.fastsim import FAST_PATH_POLICIES, EngineParityError, replay, verify_parity
 from ..optgen.belady import simulate_belady
 from ..optgen.optgen import OptGen
+from ..policies.belady_policy import BeladyPolicy
 from ..policies.registry import policy_specs
 from .generators import CaseSpec, generate_stream, spec_config
 from .invariants import InvariantViolation, check_optgen_vector, checked_replay
 
 __all__ = [
+    "MIN_POLICY",
     "CaseResult",
     "Divergence",
+    "belady_bound",
+    "check_min",
     "cross_validate_optgen",
     "default_policies",
     "run_case",
@@ -47,6 +57,9 @@ __all__ = [
 
 #: Hawkeye's hardware occupancy-vector window, as a multiple of assoc.
 OPTGEN_WINDOW_FACTOR = 8
+
+#: The policy name MIN's divergences carry (not a registry name).
+MIN_POLICY = BeladyPolicy.name
 
 
 @dataclass(frozen=True)
@@ -138,10 +151,63 @@ def cross_validate_optgen(
     return problems
 
 
-def _belady_bound(stream, spec: CaseSpec, total_hits: int) -> int:
+def belady_bound(stream, config: CacheConfig) -> int:
     """MIN's hit count over the full access sequence (demand + writeback)."""
     lines = (stream.addresses // np.uint64(stream.line_size)).astype(np.int64)
-    return simulate_belady(lines, spec.num_sets, spec.associativity).num_hits
+    return simulate_belady(lines, config.num_sets, config.associativity).num_hits
+
+
+def check_min(
+    stream, config: CacheConfig, optimum: int | None = None
+) -> list[tuple[str, str, int | None]]:
+    """MIN's engine parity and optimality; ``(kind, message, index)``
+    per failure.
+
+    A fresh :class:`BeladyPolicy` per engine replays ``stream``; the
+    two event streams and stats must be equal (else ``engine-parity``,
+    naming the first divergent access), and the fast kernel's demand
+    plus writeback hits must equal ``optimum`` (brute-force MIN's,
+    computed when not given; else ``belady-bound``).
+    """
+    events: dict[str, list] = {}
+    stats = {}
+    for engine in ("reference", "fast"):
+        events[engine] = []
+        stats[engine] = replay(
+            stream, BeladyPolicy.from_stream(stream), config,
+            engine=engine, record=events[engine],
+        )
+    ref, fast = events["reference"], events["fast"]
+    if ref != fast:
+        index = next(
+            (i for i, (r, f) in enumerate(zip(ref, fast)) if r != f),
+            min(len(ref), len(fast)),
+        )
+        return [(
+            "engine-parity",
+            f"{MIN_POLICY}: engines diverge at access {index}: "
+            f"reference={ref[index:index + 1]} fast={fast[index:index + 1]} "
+            "(hit, bypassed, way, evicted_tag, evicted_dirty)",
+            index,
+        )]
+    if stats["reference"] != stats["fast"]:
+        return [(
+            "engine-parity",
+            f"{MIN_POLICY}: stats differ: {stats['reference']} vs {stats['fast']}",
+            None,
+        )]
+    if optimum is None:
+        optimum = belady_bound(stream, config)
+    hits = stats["fast"].demand_hits + stats["fast"].writeback_hits
+    if hits != optimum:
+        return [(
+            "belady-bound",
+            f"{MIN_POLICY} counts {hits} hits but brute-force MIN's optimum "
+            f"is {optimum} — MIN attains the optimum, so one of the two "
+            "simulators is wrong",
+            None,
+        )]
+    return []
 
 
 def run_case(
@@ -192,7 +258,7 @@ def run_case(
                 continue
         result.checks += 1
         if belady_hits is None:
-            belady_hits = _belady_bound(stream, spec, 0)
+            belady_hits = belady_bound(stream, config)
         total_hits = stats.demand_hits + stats.writeback_hits
         if total_hits > belady_hits:
             result.divergences.append(
@@ -207,6 +273,20 @@ def run_case(
                     ),
                 )
             )
+
+    result.checks += 1
+    if belady_hits is None:
+        belady_hits = belady_bound(stream, config)
+    for kind, message, index in check_min(stream, config, belady_hits):
+        result.divergences.append(
+            Divergence(
+                kind=kind,
+                policy=MIN_POLICY,
+                spec=spec.to_dict(),
+                message=message,
+                index=index,
+            )
+        )
 
     result.checks += 1
     demand_lines = stream.to_trace().lines()

@@ -26,7 +26,7 @@ import numpy as np
 from ..cache.config import CacheConfig
 from ..cache.fastsim import EngineParityError, verify_parity
 from ..cache.hierarchy import LLCStream
-from .differential import cross_validate_optgen
+from .differential import MIN_POLICY, belady_bound, check_min, cross_validate_optgen
 from .invariants import InvariantViolation, checked_replay
 
 __all__ = ["ShrinkResult", "failure_predicate", "shrink_stream", "take"]
@@ -121,6 +121,12 @@ def failure_predicate(
     kind: str, policy: str | None, config: CacheConfig
 ) -> Callable[[LLCStream], bool]:
     """The "does this substream still fail?" check for a divergence kind."""
+    if policy == MIN_POLICY and kind in ("engine-parity", "belady-bound"):
+
+        def min_fails(sub: LLCStream) -> bool:
+            return any(found == kind for found, _, _ in check_min(sub, config))
+
+        return min_fails
     if kind == "engine-parity":
         if policy is None:
             raise ValueError("engine-parity predicate needs a policy name")
@@ -163,15 +169,10 @@ def failure_predicate(
             raise ValueError("belady-bound predicate needs a policy name")
 
         def bound_fails(sub: LLCStream) -> bool:
-            from ..optgen.belady import simulate_belady
-            from .invariants import checked_replay as _replay
-
-            lines = (sub.addresses // np.uint64(sub.line_size)).astype(np.int64)
-            optimum = simulate_belady(
-                lines, config.num_sets, config.associativity
-            ).num_hits
-            stats = _replay(sub, policy, config, every=0)
-            return stats.demand_hits + stats.writeback_hits > optimum
+            stats = checked_replay(sub, policy, config, every=0)
+            return stats.demand_hits + stats.writeback_hits > belady_bound(
+                sub, config
+            )
 
         return bound_fails
     raise ValueError(f"no shrink predicate for divergence kind {kind!r}")

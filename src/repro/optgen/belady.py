@@ -21,16 +21,15 @@ INF = np.iinfo(np.int64).max
 def compute_next_use(keys: np.ndarray) -> np.ndarray:
     """For each position i, the next index j > i with keys[j] == keys[i].
 
-    Positions with no later occurrence get ``INF``.
+    Positions with no later occurrence get ``INF``.  One stable sort
+    groups each key's positions in increasing order, so each position's
+    next use is its successor within the group.
     """
-    n = len(keys)
-    next_use = np.full(n, INF, dtype=np.int64)
-    last_pos: dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        key = int(keys[i])
-        if key in last_pos:
-            next_use[i] = last_pos[key]
-        last_pos[key] = i
+    keys = np.asarray(keys)
+    next_use = np.full(len(keys), INF, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    same = keys[order[1:]] == keys[order[:-1]]
+    next_use[order[:-1][same]] = order[1:][same]
     return next_use
 
 

@@ -124,3 +124,23 @@ def test_reference_step_numbers_its_own_requests():
     expected = fed.finish()
     assert expected.demand_hits > 0
     assert stepped.finish() == expected
+
+
+def test_reference_min_steps_number_their_own_requests():
+    """The reference engine's MIN, stepped request by request, must
+    number the requests as one feed does (the test above now steps the
+    fast kernel)."""
+    config = ExperimentConfig(trace_length=3000).hierarchy()
+    trace = get_trace("mcf", length=3000, llc_lines=config.llc.num_lines, seed=0)
+    stream = filter_to_llc_stream(trace, config)
+
+    fed = make_stream_kernel(BeladyPolicy.from_stream(stream), config, "reference")
+    fed.feed(stream)
+    stepped = make_stream_kernel(BeladyPolicy.from_stream(stream), config, "reference")
+    assert isinstance(stepped, _ReferenceKernel)
+    columns = stepped.decode(stream)
+    for i in range(len(stream)):
+        stepped.step(columns, i)
+    expected = fed.finish()
+    assert expected.demand_hits > 0
+    assert stepped.finish() == expected

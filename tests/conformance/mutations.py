@@ -83,6 +83,25 @@ def install_lru_off_by_one(monkeypatch) -> None:
     )
 
 
+class StaleNextUseBeladyKernel(fastsim._BeladyKernel):
+    """MIN's kernel reading each access's next use one access late.
+
+    The slip a kernel makes when the index it reads the next-use column
+    by drifts from its running access count; stores and compares stale
+    reuse times, so it diverges from the reference engine within a few
+    misses.
+    """
+
+    def __init__(self, config, next_use) -> None:
+        super().__init__(config, next_use)
+        self.next_use = self.next_use[1:] + [fastsim.INF]  # THE INJECTED SLIP
+
+
+def install_belady_stale_next_use(monkeypatch) -> None:
+    """Monkeypatch MIN's fast kernel with the stale-next-use variant."""
+    monkeypatch.setitem(fastsim._STREAM_KERNELS, "belady", StaleNextUseBeladyKernel)
+
+
 def corrupt_timing_record(monkeypatch, corrupt) -> None:
     """Have every timing run hand its record to ``corrupt`` afterwards.
 

@@ -23,7 +23,7 @@ from repro.conformance.fuzzer import (
 from repro.conformance.generators import CaseSpec, generate_stream, spec_config
 from repro.conformance.shrink import failure_predicate, shrink_stream, take
 
-from .mutations import install_lru_off_by_one
+from .mutations import install_belady_stale_next_use, install_lru_off_by_one
 
 MUTANT_SPEC = CaseSpec(
     family="thrash", seed=7, length=800, num_sets=8, associativity=2
@@ -157,3 +157,41 @@ def test_shrink_divergence_is_deterministic(monkeypatch):
     second, _ = shrink_divergence(parity[0])
     assert np.array_equal(first.stream.addresses, second.stream.addresses)
     assert first.length <= 32
+
+
+# -- MIN, checked once per case -----------------------------------------------
+
+
+def test_min_is_checked_in_every_case_whatever_the_policies():
+    from repro.conformance.differential import belady_bound, check_min, run_case
+
+    result = run_case(MUTANT_SPEC, policies=("lru",))
+    assert result.ok, result.divergences
+    # lru's parity and bound, MIN, and the OPTgen cross-validation.
+    assert result.checks == 4
+
+    stream = generate_stream(MUTANT_SPEC)
+    config = spec_config(MUTANT_SPEC)
+    optimum = belady_bound(stream, config)
+    assert check_min(stream, config, optimum) == []
+    [(kind, message, index)] = check_min(stream, config, optimum + 1)
+    assert kind == "belady-bound" and index is None
+    assert f"optimum is {optimum + 1}" in message
+
+
+def test_stale_min_kernel_is_caught_shrunk_and_archived(monkeypatch, tmp_path):
+    install_belady_stale_next_use(monkeypatch)
+    from repro.conformance.corpus import list_entries, load_entry, replay_entry
+    from repro.conformance.differential import run_case
+
+    result = run_case(MUTANT_SPEC, policies=("lru",))
+    [divergence] = result.divergences
+    assert (divergence.kind, divergence.policy) == ("engine-parity", "belady")
+    assert divergence.index is not None
+
+    shrunk, path = shrink_divergence(divergence, corpus_dir=tmp_path)
+    assert shrunk.length <= 32
+    assert path is not None
+    [(name, digest)] = list_entries(tmp_path)
+    problems = replay_entry(load_entry(tmp_path, name, digest))
+    assert problems and all("belady: engine-parity" in p for p in problems)

@@ -15,6 +15,19 @@ from repro.optgen import (
 from ..conftest import make_trace
 
 
+def _next_use_by_scan(keys: np.ndarray) -> np.ndarray:
+    """The reverse dict scan ``compute_next_use`` replaced, kept as its
+    oracle."""
+    next_use = np.full(len(keys), INF, dtype=np.int64)
+    last_pos: dict[int, int] = {}
+    for i in range(len(keys) - 1, -1, -1):
+        key = int(keys[i])
+        if key in last_pos:
+            next_use[i] = last_pos[key]
+        last_pos[key] = i
+    return next_use
+
+
 class TestNextUse:
     def test_simple(self):
         keys = np.array([1, 2, 1, 3, 2])
@@ -31,6 +44,29 @@ class TestNextUse:
     def test_all_same(self):
         next_use = compute_next_use(np.array([5, 5, 5]))
         assert list(next_use) == [1, 2, INF]
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([], dtype=np.int64),
+            np.array([7], dtype=np.int64),
+            np.full(50, 3, dtype=np.int64),
+            np.array([INF, INF - 1, INF, -INF - 1, INF - 1, -INF - 1], dtype=np.int64),
+        ],
+        ids=["empty", "one", "all-equal", "large-int64"],
+    )
+    def test_edge_cases_match_the_scan(self, keys):
+        assert np.array_equal(compute_next_use(keys), _next_use_by_scan(keys))
+
+    @given(
+        pool=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=20),
+        picks=st.lists(st.integers(0, 19), max_size=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_scan_on_random_keys(self, pool, picks):
+        # Keys drawn from a small pool of arbitrary int64s, so they repeat.
+        keys = np.array([pool[p % len(pool)] for p in picks], dtype=np.int64)
+        assert np.array_equal(compute_next_use(keys), _next_use_by_scan(keys))
 
 
 class TestBeladySmall:
