@@ -37,16 +37,22 @@ class MissRateResult:
     total_hits: dict[str, int] = field(default_factory=dict)
     belady_total_hits: int | None = None
 
-    def reduction(self, policy: str) -> float:
-        """Relative miss reduction over LRU, in percent."""
+    def _reduction(self, miss_rate: float) -> float:
         if self.lru_miss_rate <= 0:
             return 0.0
-        return 100.0 * (self.lru_miss_rate - self.miss_rates[policy]) / self.lru_miss_rate
+        return 100.0 * (self.lru_miss_rate - miss_rate) / self.lru_miss_rate
+
+    def reduction(self, policy: str) -> float:
+        """Relative miss reduction over LRU, in percent."""
+        return self._reduction(self.miss_rates[policy])
 
     def as_row(self) -> dict:
+        """The contenders' reductions, then MIN's when it was replayed."""
         row = {"benchmark": self.benchmark, "group": self.group}
         for policy in self.miss_rates:
             row[policy] = self.reduction(policy)
+        if self.belady_miss_rate is not None:
+            row["MIN"] = self._reduction(self.belady_miss_rate)
         return row
 
 

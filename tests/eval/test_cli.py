@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.eval import ExperimentConfig, miss_rate_reduction
 from repro.eval.__main__ import main
 from repro.robust.supervise import CrashJournal
 
@@ -64,3 +65,28 @@ def test_fig11_robust_degrades_then_resumes(tmp_path, capsys, jobs):
     out = capsys.readouterr().out
     assert "1 resumed from manifest" in out
     assert "Failures" not in out
+
+
+def test_fig11_prints_min_reduction(capsys):
+    # Figure 11 plots MIN: the CLI replays it, so it prints its column.
+    assert main(["fig11", "--length", "6000", "--benchmarks", "mcf,lbm",
+                 "--policies", "srrip"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("Figure 11")
+    header = [cell.strip() for cell in lines[start + 1].split("|")]
+    assert header == ["benchmark", "group", "srrip", "MIN"]
+    printed = {
+        cells[0]: float(cells[3])
+        for cells in (
+            [c.strip() for c in line.split("|")] for line in lines[start + 3 : start + 5]
+        )
+    }
+    rows = miss_rate_reduction(
+        ExperimentConfig(trace_length=6000), ("mcf", "lbm"), policies=("srrip",),
+        include_belady=True,
+    )
+    for row in rows:
+        lru, belady = row.lru_miss_rate, row.belady_miss_rate
+        assert row.as_row()["MIN"] == 100 * (lru - belady) / lru
+        assert printed[row.benchmark] == round(100 * (lru - belady) / lru, 3)
+    assert printed["mcf"] > 0  # lbm streams: MIN gains nothing there

@@ -1,10 +1,11 @@
-"""Pinned figure outputs: Figures 10 and 11 at a tiny length.
+"""Pinned figure outputs: Figures 4, 9, 10 and 11 at a tiny length.
 
-Each figure's rows are digested (floats by their exact ``repr``) and
-compared with ``tests/fixtures/figure_pins/<figure>.json``: one digest
-per benchmark row, plus the figure's aggregate rows.  A mismatch means a
-figure number moved.  Regenerate the files only for a change that is
-meant to move numbers:
+Each figure's rows are digested (floats by their exact ``repr``,
+arrays by their bytes) and compared with
+``tests/fixtures/figure_pins/<figure>.json``: one digest per benchmark
+row, plus the figure's aggregate rows.  A mismatch means a figure
+number moved.  Regenerate the files only for a change that is meant to
+move numbers:
 
     PYTHONPATH=src python tests/eval/test_figure_pins.py
 """
@@ -16,12 +17,15 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.eval import (
     ArtifactCache,
     ExperimentConfig,
+    attention_cdf,
     miss_rate_reduction,
+    offline_accuracy,
     online_accuracy,
     summarize_by_group,
 )
@@ -29,15 +33,46 @@ from repro.eval import (
 PINS = Path(__file__).resolve().parents[1] / "fixtures" / "figure_pins"
 CONFIG = ExperimentConfig(trace_length=6_000)
 BENCHMARKS = ("mcf", "lbm", "bfs")
+# Figures 4 and 9 train attention LSTMs: a shorter trace and two epochs
+# keep the whole file to seconds.
+LSTM_CONFIG = ExperimentConfig(trace_length=4_000, lstm_epochs=2)
+LSTM_BENCHMARKS = ("mcf", "lbm")
+SCALES = (1.0, 5.0)
+
+PIN_CONFIGS = {
+    "fig10": {"trace_length": CONFIG.trace_length, "benchmarks": list(BENCHMARKS)},
+    "fig11": {"trace_length": CONFIG.trace_length, "benchmarks": list(BENCHMARKS)},
+    "fig9": {
+        "trace_length": LSTM_CONFIG.trace_length,
+        "lstm_epochs": LSTM_CONFIG.lstm_epochs,
+        "benchmarks": list(LSTM_BENCHMARKS),
+    },
+    "fig4": {
+        "trace_length": LSTM_CONFIG.trace_length,
+        "lstm_epochs": LSTM_CONFIG.lstm_epochs,
+        "benchmarks": list(LSTM_BENCHMARKS),
+        "scales": list(SCALES),
+    },
+}
+
+
+def _encode(value) -> str:
+    """JSON fallback: arrays by dtype, shape and bytes, anything else by
+    ``repr`` (which truncates large arrays)."""
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value)
+        header = f"{data.dtype.str}{data.shape}".encode()
+        return "ndarray:" + hashlib.sha256(header + data.tobytes()).hexdigest()
+    return repr(value)
 
 
 def row_digest(row: dict) -> str:
     """Stable digest of one figure row (floats by their exact repr)."""
-    payload = json.dumps(row, sort_keys=True, default=repr)
+    payload = json.dumps(row, sort_keys=True, default=_encode)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def figure_digests() -> dict[str, dict[str, str]]:
+def replay_digests() -> dict[str, dict[str, str]]:
     """Fig. 11 then Fig. 10 on one artifact cache, as the harness runs
     them: ``{figure: {row key: digest}}``."""
     cache = ArtifactCache(CONFIG)
@@ -54,30 +89,64 @@ def figure_digests() -> dict[str, dict[str, str]]:
     return pins
 
 
+def lstm_digests() -> dict[str, dict[str, str]]:
+    """Fig. 9 (with its average row) and Fig. 4 (one row per benchmark
+    and scale) on one artifact cache."""
+    cache = ArtifactCache(LSTM_CONFIG)
+    fig9 = offline_accuracy(LSTM_CONFIG, LSTM_BENCHMARKS, cache=cache)
+    pins = {
+        "fig9": {r.benchmark: row_digest(asdict(r)) for r in fig9},
+        "fig4": {},
+    }
+    for benchmark in LSTM_BENCHMARKS:
+        for r in attention_cdf(LSTM_CONFIG, benchmark, SCALES, cache=cache):
+            pins["fig4"][f"{benchmark}:f={r.scale}"] = row_digest(asdict(r))
+    return pins
+
+
+def figure_digests() -> dict[str, dict[str, str]]:
+    return {**replay_digests(), **lstm_digests()}
+
+
 @pytest.fixture(scope="module")
-def digests():
-    return figure_digests()
+def replay_pins():
+    return replay_digests()
+
+
+@pytest.fixture(scope="module")
+def lstm_pins():
+    return lstm_digests()
+
+
+def _assert_pinned(figure: str, digests: dict[str, dict[str, str]]) -> None:
+    pinned = json.loads((PINS / f"{figure}.json").read_text())
+    assert pinned["config"] == PIN_CONFIGS[figure]
+    assert digests[figure] == pinned["rows"]
 
 
 @pytest.mark.parametrize("figure", ["fig10", "fig11"])
-def test_figure_rows_match_pins(digests, figure):
-    pinned = json.loads((PINS / f"{figure}.json").read_text())
-    assert pinned["config"] == {
-        "trace_length": CONFIG.trace_length,
-        "benchmarks": list(BENCHMARKS),
-    }
-    assert digests[figure] == pinned["rows"]
+def test_figure_rows_match_pins(replay_pins, figure):
+    _assert_pinned(figure, replay_pins)
+
+
+@pytest.mark.parametrize("figure", ["fig9", "fig4"])
+def test_lstm_figure_rows_match_pins(lstm_pins, figure):
+    _assert_pinned(figure, lstm_pins)
+
+
+def test_array_fields_digest_by_bytes():
+    # repr elides the middle of a large array; the digest must not.
+    a = np.zeros(5000)
+    b = a.copy()
+    b[2500] = 1e-300
+    assert repr(a) == repr(b)
+    assert row_digest({"w": a}) != row_digest({"w": b})
+    assert row_digest({"w": a}) == row_digest({"w": a.copy()})
 
 
 if __name__ == "__main__":
     PINS.mkdir(parents=True, exist_ok=True)
     for figure, rows in figure_digests().items():
-        payload = {
-            "config": {
-                "trace_length": CONFIG.trace_length,
-                "benchmarks": list(BENCHMARKS),
-            },
-            "rows": rows,
-        }
+        payload = {"config": PIN_CONFIGS[figure], "rows": rows}
         (PINS / f"{figure}.json").write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {PINS / f'{figure}.json'}")

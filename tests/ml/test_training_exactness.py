@@ -3,11 +3,12 @@
 The offline linear models scan precomputed per-trace features with
 inlined integer updates and score ``evaluate`` with NumPy; the attention
 LSTM reuses one forward per training batch, projects its inputs once per
-sequence and takes a branch-free sigmoid.  Each of these must leave every
-trained parameter exactly as the straightforward implementation below
-does: the per-access dict scans over a :class:`PCHistoryRegister`, the
-masked sigmoid, the per-step input projection and a separate accuracy
-forward before every step.
+sequence, takes a branch-free sigmoid and computes only the causal
+triangle of its attention.  Each of these must leave every trained
+parameter exactly as the straightforward implementation below does: the
+per-access dict scans over a :class:`PCHistoryRegister`, the masked
+sigmoid, the per-step input projection, the full T x T attention and a
+separate accuracy forward before every step.
 """
 
 from __future__ import annotations
@@ -27,15 +28,19 @@ from repro.ml import (
     OfflineHawkeye,
     OfflineISVM,
     OrderedHistorySVM,
+    ScaledDotAttention,
     SequenceDataset,
     binary_cross_entropy_with_logits,
     clip_gradients,
     sigmoid,
+    softmax,
+    softmax_backward,
 )
 from repro.ml import layers as ml_layers
 from repro.ml import model as ml_model
 from repro.ml import ops as ml_ops
-from repro.ml.training import train_lstm_guarded
+from repro.ml.training import train_lstm, train_lstm_guarded
+from repro.robust.guards import TrainingGuard
 
 # -- reference linear models: per-access scans over dicts -------------------
 # Reads use ``.get`` so each reference holds exactly the weights training
@@ -313,15 +318,44 @@ def legacy_lstm_forward(self, x, h0=None, c0=None):
     return hs, cache
 
 
+def legacy_attention_forward(self, hs):
+    """All T x T scores, then the causal mask."""
+    B, T, H = hs.shape
+    scores = self.scale * np.einsum("bth,bsh->bts", hs, hs)
+    # Causal mask: target t may only attend to sources s < t.
+    mask = np.tril(np.ones((T, T), dtype=bool), k=-1)
+    scores = np.where(mask[None, :, :], scores, -np.inf)
+    weights = softmax(scores, axis=-1)  # row 0 comes out all-zero
+    contexts = np.einsum("bts,bsh->bth", weights, hs)
+    return contexts, {"hs": hs, "weights": weights}
+
+
+def legacy_attention_backward(self, grad_contexts, cache):
+    """Full T x T products, two of them read in transposed order."""
+    hs = cache["hs"]
+    weights = cache["weights"]
+    # contexts = A @ hs  (per batch)
+    d_weights = np.einsum("bth,bsh->bts", grad_contexts, hs)
+    d_hs = np.einsum("bts,bth->bsh", weights, grad_contexts)
+    d_scores = softmax_backward(weights, d_weights)
+    # scores = scale * hs hs^T (masked): masked entries have weight 0
+    # and d_scores 0 by construction of softmax_backward.
+    d_hs += self.scale * np.einsum("bts,bsh->bth", d_scores, hs)
+    d_hs += self.scale * np.einsum("bts,bth->bsh", d_scores, hs)
+    return d_hs, {}
+
+
 @pytest.fixture
 def legacy_numerics(monkeypatch):
-    """A context switch to the legacy sigmoid and LSTM forward."""
+    """A context switch to the legacy sigmoid, LSTM forward and attention."""
 
     def enable():
         monkeypatch.setattr(ml_ops, "sigmoid", legacy_sigmoid)
         monkeypatch.setattr(ml_layers, "sigmoid", legacy_sigmoid)
         monkeypatch.setattr(ml_model, "sigmoid", legacy_sigmoid)
         monkeypatch.setattr(LSTMLayer, "forward", legacy_lstm_forward)
+        monkeypatch.setattr(ScaledDotAttention, "forward", legacy_attention_forward)
+        monkeypatch.setattr(ScaledDotAttention, "backward", legacy_attention_backward)
 
     return enable
 
@@ -334,6 +368,14 @@ def assert_same_arrays(a, b):
     assert a.keys() == b.keys()
     for key in a:
         assert np.array_equal(a[key], b[key]), key
+
+
+def assert_same_training_state(model, ref):
+    """Parameters and Adam's moments and step count, bit for bit."""
+    assert_same_arrays(params_of(model), params_of(ref))
+    assert_same_arrays(model.optimizer._m, ref.optimizer._m)
+    assert_same_arrays(model.optimizer._v, ref.optimizer._v)
+    assert model.optimizer._t == ref.optimizer._t
 
 
 class TestSigmoid:
@@ -413,10 +455,7 @@ class TestLSTMExactness:
             ref_results.append((float(np.mean(losses)), correct / max(1, total)))
 
         assert [(r.train_loss, r.train_accuracy) for r in results] == ref_results
-        assert_same_arrays(params_of(model), params_of(ref))
-        assert_same_arrays(model.optimizer._m, ref.optimizer._m)
-        assert_same_arrays(model.optimizer._v, ref.optimizer._v)
-        assert model.optimizer._t == ref.optimizer._t
+        assert_same_training_state(model, ref)
 
     def test_guarded_training_parameters_unchanged(self, legacy_numerics):
         data, config = self._dataset(seed=1, n=400)
@@ -424,4 +463,86 @@ class TestLSTMExactness:
         legacy_numerics()
         ref, ref_result, _ = train_lstm_guarded(data, config, epochs=2)
         assert result.epoch_accuracies == ref_result.epoch_accuracies
-        assert_same_arrays(params_of(model), params_of(ref))
+        assert_same_training_state(model, ref)
+
+    @pytest.mark.parametrize("name", ["mcf", "lbm"])
+    def test_train_lstm_at_offline_train_config(self, legacy_numerics, name):
+        # perfbench's offline_train: 5,000 accesses, three LSTM epochs.
+        config = ExperimentConfig(trace_length=5_000, lstm_epochs=3)
+        labelled = ArtifactCache(config).labelled(name)
+        lstm_config = config.lstm_config(labelled.vocab_size)
+        model, run = train_lstm(labelled, lstm_config, epochs=config.lstm_epochs)
+        legacy_numerics()
+        ref, ref_run = train_lstm(labelled, lstm_config, epochs=config.lstm_epochs)
+        assert run.epoch_accuracies == ref_run.epoch_accuracies
+        assert_same_training_state(model, ref)
+
+
+class TestCausalAttentionExactness:
+    """The causal-block attention against the full T x T legacy layer."""
+
+    @staticmethod
+    def _hidden(batch, steps, dim, seed):
+        rng = np.random.default_rng(seed)
+        hs = np.tanh(rng.normal(size=(batch, steps, dim)))
+        hs[rng.random(hs.shape) < 0.1] = 0.0
+        hs[rng.random(hs.shape) < 0.1] = -0.0
+        if steps > 1:
+            hs[0, 1] = -0.0  # a whole signed-zero source
+        return hs, rng.normal(size=hs.shape)
+
+    @pytest.mark.parametrize("scale", [1.0, 5.0])
+    @pytest.mark.parametrize("batch", [1, 2, 32])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 59, 60, 61])
+    def test_layer_matches_the_full_matrix(self, steps, batch, scale):
+        hs, grad = self._hidden(batch, steps, 32, seed=steps * 1000 + batch)
+        layer = ScaledDotAttention(scale)
+        contexts, cache = layer.forward(hs)
+        d_hs, _ = layer.backward(grad, cache)
+        ref_contexts, ref_cache = legacy_attention_forward(layer, hs)
+        ref_d_hs, _ = legacy_attention_backward(layer, grad, ref_cache)
+        assert np.array_equal(contexts, ref_contexts)
+        assert np.array_equal(cache["weights"], ref_cache["weights"])
+        assert np.array_equal(layer.attention_weights(hs), ref_cache["weights"])
+        assert np.array_equal(d_hs, ref_d_hs)
+
+    def test_fewer_steps_than_blocks(self):
+        assert 3 < ml_layers.CAUSAL_BLOCKS
+        assert ml_layers._causal_blocks(3) == [(0, 1), (1, 2), (2, 3)]
+        assert ml_layers._causal_blocks(0) == []
+        for steps in (1, 7, 60, 61):
+            blocks = ml_layers._causal_blocks(steps)
+            bounds = [a for a, _ in blocks] + [steps]
+            assert bounds[0] == 0 and bounds == sorted(set(bounds))
+            assert all(b == bounds[i + 1] for i, (_, b) in enumerate(blocks))
+
+
+class TestNonFiniteHiddenStates:
+    """Exactness holds for finite hidden states; a NaN one must still trip
+    the training guard, even though earlier positions now stay finite."""
+
+    def test_nan_embedding_row_makes_the_loss_nan(self, legacy_numerics):
+        data, config = TestLSTMExactness._dataset(seed=2, n=300)
+        model = AttentionLSTM(config)
+        batch = next(SequenceDataset.from_labelled(data, config.history).batches(4))
+        row = 0
+        pc = batch.inputs[row, 3]
+        step = int(np.argmax(batch.inputs[row] == pc))  # its first position
+        model.embedding.params["W_emb"][pc] = np.nan
+        logits, _ = model.forward(batch.inputs)
+        assert np.isnan(logits[row, step:]).all()
+        # Positions before the NaN's row block never read it.
+        start = next(a for a, b in ml_layers._causal_blocks(logits.shape[1]) if b > step)
+        assert np.isfinite(logits[row, :start]).all()
+        loss, _ = binary_cross_entropy_with_logits(logits, batch.targets, batch.mask)
+        assert np.isnan(loss)
+        guard = TrainingGuard(model)
+        assert not guard.loss_ok(loss, epoch=0, batch=0)
+        assert guard.report.batches_skipped == 1
+
+        # The full T x T product spread the NaN over the whole sequence.
+        legacy_numerics()
+        ref_logits, _ = model.forward(batch.inputs)
+        assert np.isnan(ref_logits[row]).all()
+        assert np.isnan(binary_cross_entropy_with_logits(
+            ref_logits, batch.targets, batch.mask)[0])
