@@ -14,13 +14,12 @@ Replacement-policy studies follow a two-phase methodology:
    instance holds its trained state afterwards on either engine.
 
 :class:`CacheHierarchy` is the object-based reference for phase 1: its
-per-access ``access`` path backs ``engine="reference"`` filtering, the
-fast filter's mixed-line-size fallback, and the single-core timing
-oracle in :mod:`repro.conformance.single_core`.  The timing models
-themselves (:class:`~repro.cpu.system.SingleCoreSystem` and
-:class:`~repro.cpu.system.MultiCoreSystem`) never step it: their one
-timing loop reads each source access's service level from
-:attr:`LLCStream.levels` and sends only LLC requests to the policy.
+per-access ``access`` path backs ``engine="reference"`` filtering and
+the fast filter's mixed-line-size fallback.  The timing model
+(:class:`~repro.cpu.system.MultiCoreSystem`, at one core or more)
+never steps it: its timing loop reads each source access's service
+level from :attr:`LLCStream.levels` and sends only LLC requests to the
+policy.
 """
 
 from __future__ import annotations

@@ -13,11 +13,9 @@ trustworthy together: this package continuously proves they agree.
 * :mod:`~repro.conformance.invariants` — runtime invariant checkers
   (occupancy conservation, RRPV bounds, ISVM saturation, OPTgen
   occupancy vector, core/DRAM timing) attachable to any run.
-* :mod:`~repro.conformance.single_core` — the per-access single-core
-  timing oracle that the filter-replay-time ``SingleCoreSystem`` must
-  match.
-* :mod:`~repro.conformance.multi_core` — the per-access multi-core
-  timing oracle that the filter-once ``MultiCoreSystem`` must match.
+* :mod:`~repro.conformance.multi_core` — the per-access timing oracle
+  that the filter-once ``MultiCoreSystem`` must match at every core
+  count, one included.
 * :mod:`~repro.conformance.shrink` — ddmin delta-debugging of failing
   traces to near-minimal repros.
 * :mod:`~repro.conformance.corpus` — the checked-in regression corpus
@@ -37,12 +35,10 @@ from .invariants import (
     InvariantViolation,
     checked_multi_core,
     checked_replay,
-    checked_single_core,
     run_all_checks,
 )
 from .multi_core import reference_multi_core
 from .shrink import ShrinkResult, failure_predicate, shrink_stream, take
-from .single_core import reference_single_core
 
 __all__ = [
     "CaseResult",
@@ -56,14 +52,12 @@ __all__ = [
     "ShrinkResult",
     "checked_multi_core",
     "checked_replay",
-    "checked_single_core",
     "cross_validate_optgen",
     "failure_predicate",
     "fuzz",
     "generate_stream",
     "parse_budget",
     "reference_multi_core",
-    "reference_single_core",
     "run_all_checks",
     "run_case",
     "run_roundtrip_case",

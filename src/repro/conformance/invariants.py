@@ -19,7 +19,7 @@ invariant is broken:
   (entries are only claimed while strictly below capacity), the vector
   never outgrows the configured window, and hit/miss counters tie out
   with the time base;
-* **timing** — on a single- or multi-core run, each core's cycle
+* **timing** — on a system run of any core count, each core's cycle
   count never decreases, DRAM bus reservations never overlap, IPC stays
   within the issue width, and each core retires exactly the
   instructions of the accesses it issued.
@@ -28,8 +28,7 @@ invariant is broken:
 applicable checkers firing every ``every`` accesses (and once at the
 end), so any run — a fuzz case, a corpus replay, a paper experiment —
 can be executed under supervision by swapping one call;
-:func:`checked_single_core` and :func:`checked_multi_core` do the same
-for the timing model.
+:func:`checked_multi_core` does the same for the timing model.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import Iterable
 from ..cache.cache import SetAssociativeCache
 from ..cache.config import CacheConfig, HierarchyConfig
 from ..cache.stats import CacheStats
-from ..cpu.system import MultiCoreSystem, SingleCoreSystem, SystemResult
+from ..cpu.system import MultiCoreSystem, SystemResult
 from ..optgen.optgen import OptGen, SetOptGen
 from ..policies.rrip import RRPV_KEY
 
@@ -53,7 +52,6 @@ __all__ = [
     "check_timing_result",
     "checked_multi_core",
     "checked_replay",
-    "checked_single_core",
     "run_all_checks",
 ]
 
@@ -307,29 +305,6 @@ def _check_retired(
             invariant="timing-instructions",
             context={"retired": retired, "expected": expected},
         )
-
-
-def checked_single_core(
-    config: HierarchyConfig,
-    policy,
-    trace,
-    width: int = 4,
-    rob_entries: int = 128,
-) -> SystemResult:
-    """:class:`SingleCoreSystem` run with every timing invariant checked.
-
-    Has the timing loop record every access (which leaves the result
-    unchanged), checks the record, then checks the result against the
-    trace.
-    """
-    system = SingleCoreSystem(config, policy, width=width, rob_entries=rob_entries)
-    system._timing_record = record = []
-    result = system.run(trace)
-    _check_timing_record(
-        result.name, record, [(system.core, trace.instructions_per_access)]
-    )
-    check_timing_result(result, trace, width)
-    return result
 
 
 def checked_multi_core(

@@ -1,12 +1,14 @@
-"""Per-access oracle for the multi-core timing model.
+"""Per-access oracle for the timing model, at any core count.
 
 :class:`~repro.cpu.system.MultiCoreSystem` filters each core's accesses
-through its private L1/L2 once, then steps only the shared LLC inside
-the time-ordered timing loop.  The oracle here is the model it replaced:
-one heap loop that steps every core's object-based L1, L2 and the shared
-:class:`~repro.cache.cache.SetAssociativeCache` LLC access by access.
-The two must agree exactly — cycles, instructions, LLC demand counts and
-per-core IPC — for every policy and core count
+through its private L1/L2 once, then times them against the shared LLC:
+one core's stream is replayed whole first, more cores' requests step
+the LLC inside the time-ordered timing loop.  The oracle here is the
+model it replaced: one heap loop that steps every core's object-based
+L1, L2 and the shared :class:`~repro.cache.cache.SetAssociativeCache`
+LLC access by access.  The two must agree exactly — cycles,
+instructions, LLC demand counts and per-core IPC — for every policy and
+core count, one included
 (``tests/conformance/test_multi_core_parity.py``).
 """
 

@@ -1,11 +1,12 @@
-"""Single-core and multi-core system models (IPC and weighted speedup).
+"""The system model: cores, private L1/L2, a shared LLC, a DRAM bus.
 
-``SingleCoreSystem`` drives one trace through a private hierarchy with a
-chosen LLC policy and reports IPC.  ``MultiCoreSystem`` reproduces the
-paper's 4-core methodology (Section 5.1): per-core private L1/L2, a
-shared LLC, traces rewound until every core has executed its quota, and
-weighted speedup ``sum(IPC_shared / IPC_single)`` computed against each
-benchmark running alone on the same shared-cache configuration.
+``MultiCoreSystem`` times N cores (one or more) with the paper's
+methodology (Section 5.1): per-core private L1/L2 and a shared LLC, each
+core issuing exactly its quota of accesses (its trace rewound if
+shorter) and then stopping.  ``SingleCoreSystem`` is its one-core case
+over a whole trace, which Figure 12 and Figure 13's alone-IPC
+references use; Figure 13's weighted speedup
+``sum(IPC_shared / IPC_single)`` divides by the latter.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from ..cache import fastsim
 from ..cache.config import HierarchyConfig, scaled_hierarchy
 from ..cache.hierarchy import LLCStream, filter_to_llc_stream
 from ..cache.policy import ReplacementPolicy
+from ..cache.stats import CacheStats
 from ..traces.trace import Trace
 from .timing import CoreTimingState, DramBus, level_latency
 
@@ -50,36 +52,16 @@ class SystemResult:
 
 
 class SingleCoreSystem:
-    """One core, private three-level hierarchy, DRAM bus.
+    """One core timed over a whole trace: the one-core :class:`MultiCoreSystem`.
 
-    ``llc_policy`` is a registry name (``"lru"`` by default) or a
-    policy instance; it reaches :func:`repro.cache.fastsim.replay`
-    unchanged, so either takes the policy's fast kernel when it has one,
-    and an instance holds its trained state afterwards.
-
-    :meth:`run` filters the trace through the L1/L2 (recording the LLC
-    stream plus each access's service level), replays that stream on
-    the LLC policy (recording hit or miss per request), and times the
-    accesses with the one-core case of the shared timing loop.  This is
-    exact because timing never feeds back into cache state and the LRU
-    L1/L2 never see the LLC policy.
-    :func:`repro.conformance.single_core.reference_single_core` is the
-    per-access oracle it must match exactly.
-
-    ``stream``, when given, is the filtered LLC stream of the trace
-    :meth:`run` will be passed (``filter_to_llc_stream(trace, config)``,
-    levels included), so callers timing one trace under several
-    policies filter it once.  The L1/L2 are the same at every core
-    count, so one stream serves every ``scaled_hierarchy`` geometry.
-
-    A system runs once: its clock, bus and LLC policy carry the run's
-    state, so a second :meth:`run` raises :class:`RuntimeError`.
+    The arguments are :class:`MultiCoreSystem`'s.  ``stream``, when
+    given, is the trace's ``filter_to_llc_stream(trace, config)``
+    (levels included), so callers timing one trace under several
+    policies or core-count geometries filter it once.  An empty trace
+    takes only the pipeline fill.  A system runs once.
     """
 
     _ran = False
-    #: Set to a list to collect :func:`_time_cores`' per-access record
-    #: (the timing invariant checkers do).
-    _timing_record: list | None = None
 
     def __init__(
         self,
@@ -92,10 +74,11 @@ class SingleCoreSystem:
         if stream is not None and stream.levels is None:
             raise ValueError(f"{stream.name}: stream has no service levels")
         self.config = config or scaled_hierarchy()
-        self.llc_policy = llc_policy if llc_policy is not None else "lru"
         self.stream = stream
-        self.dram = DramBus(self.config.dram)
-        self.core = CoreTimingState(width=width, rob_entries=rob_entries)
+        self._system = partial(
+            MultiCoreSystem, config=self.config, llc_policy=llc_policy,
+            width=width, rob_entries=rob_entries,
+        )
 
     def run(self, trace: Trace) -> SystemResult:
         stream = self.stream
@@ -107,22 +90,10 @@ class SingleCoreSystem:
                 f"levels, trace {trace.name} has {len(trace)} accesses"
             )
         _run_once(self)
-        events: list = []
-        llc = fastsim.replay(stream, self.llc_policy, self.config, record=events)
-        hits = [event[0] for event in events]
-        _time_cores(
-            [(self.core, trace.instructions_per_access, stream, hits.__getitem__)],
-            self.dram,
-            self.config,
-            self._timing_record,
-        )
-        return SystemResult(
-            name=trace.name,
-            cycles=self.core.cycle,
-            instructions=float(self.core.retired_instructions),
-            llc_demand_accesses=llc.demand_accesses,
-            llc_demand_misses=llc.demand_misses,
-        )
+        # The run body, not ``run``: the trace's length is the quota, an
+        # empty trace included, and whatever wraps ``MultiCoreSystem.run``
+        # (perfbench's ``cpu.multi`` span) sees only N-core runs.
+        return self._system([trace])._run([stream])
 
 
 def core_streams(
@@ -174,25 +145,32 @@ class MultiCoreSystem:
     Cores are interleaved by simulated time: the core with the smallest
     current cycle issues its next LLC request, so faster cores
     naturally issue more traffic — the behaviour that creates shared-LLC
-    interference.  Each core runs until it has issued ``quota`` accesses,
-    wrapping its trace if it finishes early (the paper rewinds early
-    finishers until all have run 250M instructions).
+    interference.  Each core issues exactly ``quota`` accesses, rewinding
+    its trace if it ends sooner, and then stops; its IPC covers those
+    accesses alone, so the slowest core runs its tail with fewer
+    co-runners.  (The paper instead keeps early finishers running until
+    every core has run 250M instructions.)
 
-    :meth:`run` filters each core once (:func:`core_streams`), then runs
-    the shared timing loop, which steps the LLC kernel (``llc``, built by
-    :func:`repro.cache.fastsim.make_stream_kernel`, so a name or an
-    instance takes the policy's fast kernel when it has one, and an
-    instance holds its trained state after :meth:`run`) with each
-    request that reached it.
+    :meth:`run` filters each core once (:func:`core_streams`) and times
+    the streams in the shared loop.  One core's LLC sees its requests in
+    stream order, so its stream is replayed whole first, through
+    :func:`repro.cache.fastsim.replay` (and so with its metrics and
+    spans); more cores step an LLC kernel
+    (:func:`repro.cache.fastsim.make_stream_kernel`) with each request
+    as it comes.  A name or an instance takes the policy's fast kernel
+    when it has one; after :meth:`run` an instance holds its trained
+    state, and ``llc.stats`` the LLC's statistics.
     ``streams``, when given, are this system's :func:`core_streams` for
     the quota :meth:`run` will be asked for, so the systems of one mix
     share a single filter pass.
     :func:`repro.conformance.multi_core.reference_multi_core` is the
-    per-access oracle it must match exactly.  Like
-    :class:`SingleCoreSystem`, it runs once.
+    per-access oracle it must match exactly, at every core count.  A
+    system runs once: a second :meth:`run` raises :class:`RuntimeError`.
     """
 
     _ran = False
+    #: Set to a list to collect :func:`_time_cores`' per-access record
+    #: (the timing invariant checker does).
     _timing_record: list | None = None
 
     def __init__(
@@ -211,9 +189,7 @@ class MultiCoreSystem:
         ):
             raise ValueError("need one stream with service levels per trace")
         self.config = config or scaled_hierarchy(cores=len(traces))
-        self.llc = fastsim.make_stream_kernel(
-            llc_policy if llc_policy is not None else "lru", self.config
-        )
+        self.llc_policy = llc_policy if llc_policy is not None else "lru"
         self.streams = streams
         self.dram = DramBus(self.config.dram)
         self.cores = [
@@ -235,17 +211,26 @@ class MultiCoreSystem:
         )
         if any(len(stream.levels) != quota_accesses for stream in streams):
             raise ValueError(f"streams were not filtered for {quota_accesses} accesses")
+        return self._run(streams)
+
+    def _run(self, streams: list[LLCStream]) -> SystemResult:
+        """Time each core's filtered stream on the shared LLC."""
         _run_once(self)
-        llc = self.llc
+        if len(streams) == 1:
+            # Stepping one core's requests would take them in stream
+            # order anyway, and costs more than one replay.
+            events: list = []
+            self.llc = _ReplayedLLC(
+                fastsim.replay(streams[0], self.llc_policy, self.config, record=events)
+            )
+            hits = [[event[0] for event in events].__getitem__]
+        else:
+            llc = self.llc = fastsim.make_stream_kernel(self.llc_policy, self.config)
+            hits = [partial(llc.step, llc.decode(stream)) for stream in streams]
         _time_cores(
             [
-                (
-                    core.timing,
-                    core.trace.instructions_per_access,
-                    stream,
-                    partial(llc.step, llc.decode(stream)),
-                )
-                for core, stream in zip(self.cores, streams)
+                (core.timing, core.trace.instructions_per_access, stream, hit)
+                for core, stream, hit in zip(self.cores, streams, hits)
             ],
             self.dram,
             self.config,
@@ -253,7 +238,7 @@ class MultiCoreSystem:
         )
         total_instructions = sum(c.timing.retired_instructions for c in self.cores)
         cycles = max(c.timing.cycle for c in self.cores)
-        stats = llc.finish()
+        stats = self.llc.stats
         return SystemResult(
             name="+".join(c.trace.name for c in self.cores),
             cycles=cycles,
@@ -262,6 +247,13 @@ class MultiCoreSystem:
             llc_demand_misses=stats.demand_misses,
             per_core_ipc={i: c.timing.ipc for i, c in enumerate(self.cores)},
         )
+
+
+@dataclass
+class _ReplayedLLC:
+    """A one-core run's LLC, replayed whole: only its statistics remain."""
+
+    stats: CacheStats
 
 
 def _run_once(system) -> None:

@@ -1,4 +1,4 @@
-"""Pinned figure outputs: Figures 4, 9, 10 and 11 at a tiny length.
+"""Pinned figure outputs: Figures 4, 9, 10, 11, 12 and 13 at a tiny length.
 
 Each figure's rows are digested (floats by their exact ``repr``,
 arrays by their bytes) and compared with
@@ -27,7 +27,10 @@ from repro.eval import (
     miss_rate_reduction,
     offline_accuracy,
     online_accuracy,
+    single_core_speedup,
     summarize_by_group,
+    summarize_speedups,
+    weighted_speedup_sweep,
 )
 
 PINS = Path(__file__).resolve().parents[1] / "fixtures" / "figure_pins"
@@ -38,10 +41,16 @@ BENCHMARKS = ("mcf", "lbm", "bfs")
 LSTM_CONFIG = ExperimentConfig(trace_length=4_000, lstm_epochs=2)
 LSTM_BENCHMARKS = ("mcf", "lbm")
 SCALES = (1.0, 5.0)
+# Figure 13 draws its mixes from the whole suite: two mixes at a small
+# per-core quota.
+MIXES = 2
+QUOTA = 2_000
 
 PIN_CONFIGS = {
     "fig10": {"trace_length": CONFIG.trace_length, "benchmarks": list(BENCHMARKS)},
     "fig11": {"trace_length": CONFIG.trace_length, "benchmarks": list(BENCHMARKS)},
+    "fig12": {"trace_length": CONFIG.trace_length, "benchmarks": list(BENCHMARKS)},
+    "fig13": {"trace_length": CONFIG.trace_length, "mixes": MIXES, "quota": QUOTA},
     "fig9": {
         "trace_length": LSTM_CONFIG.trace_length,
         "lstm_epochs": LSTM_CONFIG.lstm_epochs,
@@ -72,10 +81,9 @@ def row_digest(row: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def replay_digests() -> dict[str, dict[str, str]]:
+def replay_digests(cache: ArtifactCache) -> dict[str, dict[str, str]]:
     """Fig. 11 then Fig. 10 on one artifact cache, as the harness runs
     them: ``{figure: {row key: digest}}``."""
-    cache = ArtifactCache(CONFIG)
     fig11 = miss_rate_reduction(
         CONFIG, BENCHMARKS, include_belady=True, cache=cache
     )
@@ -86,6 +94,20 @@ def replay_digests() -> dict[str, dict[str, str]]:
     }
     for row in summarize_by_group(fig11):
         pins["fig11"][f"group:{row['group']}"] = row_digest(row)
+    return pins
+
+
+def timing_digests(cache: ArtifactCache) -> dict[str, dict[str, str]]:
+    """Fig. 12 (with its group rows) and Fig. 13 (one row per mix, whose
+    weighted speedups rest on every benchmark's alone IPC)."""
+    fig12 = single_core_speedup(CONFIG, BENCHMARKS, cache=cache)
+    fig13 = weighted_speedup_sweep(CONFIG, num_mixes=MIXES, quota=QUOTA, cache=cache)
+    pins = {
+        "fig12": {r.benchmark: row_digest(asdict(r)) for r in fig12},
+        "fig13": {r.mix.name: row_digest(asdict(r)) for r in fig13},
+    }
+    for row in summarize_speedups(fig12):
+        pins["fig12"][f"group:{row['group']}"] = row_digest(row)
     return pins
 
 
@@ -105,12 +127,23 @@ def lstm_digests() -> dict[str, dict[str, str]]:
 
 
 def figure_digests() -> dict[str, dict[str, str]]:
-    return {**replay_digests(), **lstm_digests()}
+    cache = ArtifactCache(CONFIG)
+    return {**replay_digests(cache), **timing_digests(cache), **lstm_digests()}
 
 
 @pytest.fixture(scope="module")
-def replay_pins():
-    return replay_digests()
+def cache():
+    return ArtifactCache(CONFIG)
+
+
+@pytest.fixture(scope="module")
+def replay_pins(cache):
+    return replay_digests(cache)
+
+
+@pytest.fixture(scope="module")
+def timing_pins(cache):
+    return timing_digests(cache)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +160,11 @@ def _assert_pinned(figure: str, digests: dict[str, dict[str, str]]) -> None:
 @pytest.mark.parametrize("figure", ["fig10", "fig11"])
 def test_figure_rows_match_pins(replay_pins, figure):
     _assert_pinned(figure, replay_pins)
+
+
+@pytest.mark.parametrize("figure", ["fig12", "fig13"])
+def test_timing_figure_rows_match_pins(timing_pins, figure):
+    _assert_pinned(figure, timing_pins)
 
 
 @pytest.mark.parametrize("figure", ["fig9", "fig4"])
