@@ -13,6 +13,14 @@ Subpackages:
 * :mod:`repro.eval`    — one experiment per paper table/figure.
 * :mod:`repro.conformance` — differential fuzzing, invariant checking,
   and the minimized regression corpus keeping engines and oracle honest.
+* :mod:`repro.obs`, :mod:`repro.perf`, :mod:`repro.robust`,
+  :mod:`repro.serve` — observability, the parallel grid runner, fault
+  tolerance and the prediction server.
+
+``import repro`` loads no subpackage: each one loads on first use,
+either by an explicit import or by attribute access (``repro.cache``
+imports :mod:`repro.cache`).  A figure run therefore loads only the
+modules it executes (see DESIGN.md, "Import layering").
 
 Quick start::
 
@@ -28,7 +36,12 @@ Quick start::
 
 __version__ = "1.0.0"
 
-from . import cache, conformance, core, cpu, eval, ml, optgen, policies, traces  # noqa: F401
+from importlib import import_module
+
+_SUBPACKAGES = frozenset({
+    "cache", "conformance", "core", "cpu", "eval", "ml", "obs", "optgen",
+    "perf", "policies", "robust", "serve", "traces",
+})
 
 __all__ = [
     "cache",
@@ -41,3 +54,10 @@ __all__ = [
     "traces",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Load a subpackage on first attribute access (PEP 562)."""
+    if name in _SUBPACKAGES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,13 @@ See DESIGN.md's per-experiment index for the mapping:
 * Table 2 -> `repro.traces.stats`
 * Table 3 -> `cost`
 * Table 4 -> `semantics`
+
+The drivers of Figures 9-13 (and the runner and tables they share) load
+with the package.  The other drivers and ``plots`` load on first use of
+one of their exports, so a Figure 9-13 run never imports them.
 """
+
+from importlib import import_module
 
 from .accuracy import (
     OfflineAccuracyResult,
@@ -21,15 +27,6 @@ from .accuracy import (
     offline_accuracy,
     online_accuracy,
 )
-from .attention_analysis import (
-    AttentionCDFResult,
-    AttentionHeatmap,
-    attention_cdf,
-    attention_heatmap,
-)
-from .convergence import ConvergenceCurves, convergence_curves
-from .cost import ModelCost, model_cost_table
-from .plots import ascii_plot, s_curve
 from .missrate import (
     CONTENDERS,
     MissRateResult,
@@ -38,9 +35,6 @@ from .missrate import (
 )
 from .multicore import MixResult, summarize_mixes, weighted_speedup_sweep
 from .runner import DEFAULT, QUICK, ArtifactCache, ExperimentConfig
-from .semantics import TargetPCResult, anchor_pc_analysis, shares_anchor
-from .seqlen import SequenceLengthCurves, sequence_length_sweep
-from .shuffle import ShuffleResult, shuffle_experiment
 from .speedup import SpeedupResult, single_core_speedup, summarize_speedups
 from .tables import arithmetic_mean, format_table, geometric_mean
 
@@ -84,3 +78,32 @@ __all__ = [
     "summarize_speedups",
     "weighted_speedup_sweep",
 ]
+
+_LAZY = {
+    "AttentionCDFResult": "attention_analysis",
+    "AttentionHeatmap": "attention_analysis",
+    "attention_cdf": "attention_analysis",
+    "attention_heatmap": "attention_analysis",
+    "ConvergenceCurves": "convergence",
+    "convergence_curves": "convergence",
+    "ModelCost": "cost",
+    "model_cost_table": "cost",
+    "ascii_plot": "plots",
+    "s_curve": "plots",
+    "TargetPCResult": "semantics",
+    "anchor_pc_analysis": "semantics",
+    "shares_anchor": "semantics",
+    "SequenceLengthCurves": "seqlen",
+    "sequence_length_sweep": "seqlen",
+    "ShuffleResult": "shuffle",
+    "shuffle_experiment": "shuffle",
+}
+
+
+def __getattr__(name: str):
+    """Resolve a lazy export on first use and cache it (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value

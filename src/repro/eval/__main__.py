@@ -75,10 +75,6 @@ from ..obs import insight as obs_insight
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..perf.parallel import RunContext
-from ..robust.faults import BenchmarkFaultPlan
-from ..robust.retry import DeadlineBudget, RetryPolicy
-from ..robust.suite import RobustSuiteRunner
-from ..robust.supervise import SuperviseConfig
 from .accuracy import offline_accuracy, online_accuracy
 from .attention_analysis import attention_cdf, attention_heatmap
 from .convergence import convergence_curves
@@ -100,6 +96,16 @@ _ROBUST_EXPERIMENTS = ("fig9", "fig10", "fig11", "fig12")
 
 def _benchmarks(args) -> tuple[str, ...] | None:
     return tuple(args.benchmarks.split(",")) if args.benchmarks else None
+
+
+def _fault_plan(spec: str):
+    """``--fail``'s argument type; the fault harness loads only when given."""
+    from ..robust.faults import BenchmarkFaultPlan
+
+    try:
+        return BenchmarkFaultPlan.parse(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -164,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         help="retry failing benchmarks and finish the suite with partial results",
     )
     parser.add_argument(
-        "--fail", default=None, metavar="SPEC", type=BenchmarkFaultPlan.parse,
+        "--fail", default=None, metavar="SPEC", type=_fault_plan,
         help='inject benchmark failures, e.g. "mcf" (always) or "lbm:2" (twice)',
     )
     parser.add_argument(
@@ -272,18 +278,26 @@ def main(argv: list[str] | None = None) -> int:
         # reporting, so a default-shaped recorder would record nothing.
         recorder = obs_insight.enable(config.hierarchy())
 
-    supervise = SuperviseConfig(
-        task_timeout=args.task_timeout,
-        max_pool_restarts=args.max_pool_restarts,
-        degrade=not args.no_degrade,
-        heartbeat_interval=args.heartbeat_interval,
-        heartbeat_grace=args.heartbeat_grace,
-    )
+    # The pool and robust-suite machinery loads only for runs that use it.
+    supervise = None
+    if args.jobs > 1 or args.robust or args.fail:
+        from ..robust.supervise import SuperviseConfig
+
+        supervise = SuperviseConfig(
+            task_timeout=args.task_timeout,
+            max_pool_restarts=args.max_pool_restarts,
+            degrade=not args.no_degrade,
+            heartbeat_interval=args.heartbeat_interval,
+            heartbeat_grace=args.heartbeat_grace,
+        )
     journal = None
     if args.store:
         journal = Path(args.store) / f"journal-{args.experiment}.jsonl"
     suite = None
     if args.robust or args.fail:
+        from ..robust.retry import DeadlineBudget, RetryPolicy
+        from ..robust.suite import RobustSuiteRunner
+
         manifest = None
         if args.store:
             manifest = Path(args.store) / f"manifest-{args.experiment}.json"

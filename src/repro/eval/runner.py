@@ -16,6 +16,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,9 +26,11 @@ from ..cache.stats import CacheStats
 from ..ml.dataset import LabelledTrace, label_trace
 from ..ml.model import LSTMConfig
 from ..policies.registry import make_policy
-from ..robust.store import ArtifactStore
 from ..traces.suite import FULL_SUITE, OFFLINE_BENCHMARKS, get_trace
 from ..traces.trace import Trace
+
+if TYPE_CHECKING:
+    from ..robust.store import ArtifactStore
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,11 @@ class ArtifactCache:
         store: ArtifactStore | str | None = None,
     ) -> None:
         self.config = config
-        self.store = ArtifactStore(store) if isinstance(store, (str, Path)) else store
+        if isinstance(store, (str, Path)):
+            from ..robust.store import ArtifactStore
+
+            store = ArtifactStore(store)
+        self.store = store
         self._streams: dict[str, LLCStream] = {}
         self._labelled: dict[str, LabelledTrace] = {}
         self._replays: dict[tuple[str, str], LLCReplay] = {}

@@ -21,6 +21,15 @@ Typical wiring (what ``python -m repro.eval`` does under
     obs.metrics.save_snapshot("metrics.json", snapshot)
 """
 
-from . import insight, instrument, metrics, progress, report, trace
+from importlib import import_module
+
+from . import insight, instrument, metrics, progress, trace
+
+
+def __getattr__(name: str):
+    """Load :mod:`~repro.obs.report` (HTML rendering) on first use."""
+    if name == "report":
+        return import_module(f"{__name__}.report")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = ["insight", "instrument", "metrics", "progress", "report", "trace"]

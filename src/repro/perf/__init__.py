@@ -10,15 +10,6 @@ Layer 2 of the fast-path work (Layer 1 is :mod:`repro.cache.fastsim`):
 * :mod:`repro.perf.bench` — the ``repro.eval bench`` subcommand: time
   the filter / replay / insight stages and record the perf trajectory
   in ``BENCH_sim.json``.
+
+The package exports nothing: import the submodule you need.
 """
-
-from .bench import BENCH_SCHEMA, run_bench, validate_bench
-from .parallel import parallel_map, task_seed
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "parallel_map",
-    "run_bench",
-    "task_seed",
-    "validate_bench",
-]

@@ -35,16 +35,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..obs.progress import ProgressReporter
-from ..robust.suite import RobustSuiteRunner, SuiteReport
-from ..robust.supervise import (
-    CrashJournal,
-    SupervisedTaskError,
-    SuperviseConfig,
-    TaskSupervisor,
-)
+
+if TYPE_CHECKING:
+    from ..robust.suite import RobustSuiteRunner, SuiteReport
+    from ..robust.supervise import CrashJournal, SuperviseConfig
 
 __all__ = ["RunContext", "parallel_map", "task_seed"]
 
@@ -96,6 +93,9 @@ def parallel_map(
             if progress is not None:
                 progress(task_ids[index] if task_ids else None)
         return results
+    # The pool machinery loads with the pool: a jobs=1 run never imports it.
+    from ..robust.supervise import SupervisedTaskError, TaskSupervisor
+
     supervisor = TaskSupervisor(supervise, journal=journal, progress=progress)
     outcomes = supervisor.map(fn, items, jobs=jobs, task_ids=task_ids)
     results = []

@@ -19,87 +19,7 @@ makes it survive faults instead of aborting:
   worker watchdogs (deadlines + heartbeats), pool recycling on
   ``BrokenProcessPool``, poison-task quarantine, sequential
   degradation, and an append-only crash journal.
+
+The package exports nothing: import the submodule you need, so that
+(say) a figure run's training guards do not load the process pool.
 """
-
-from .faults import (
-    BenchmarkFaultPlan,
-    GradientFaultInjector,
-    InjectedFault,
-    TraceFaults,
-    corrupt_trace,
-    poison_isvm,
-)
-from .guards import (
-    GuardConfig,
-    GuardReport,
-    NumericalFault,
-    TrainingGuard,
-    check_isvm_health,
-    non_finite_fraction,
-)
-from .retry import (
-    DeadlineBudget,
-    DeadlineExceeded,
-    RetryError,
-    Retrier,
-    RetryPolicy,
-    call_with_retry,
-    with_retry,
-)
-from .store import ArtifactStore, StoreStats
-from .suite import BenchmarkFailure, RobustSuiteRunner, SuiteReport
-from .supervise import (
-    TAXONOMIES,
-    CrashJournal,
-    PoolBrokenError,
-    SupervisedTaskError,
-    SuperviseConfig,
-    TaskOutcome,
-    TaskSupervisor,
-    heartbeat_path,
-    kill_process,
-    pid_alive,
-    read_heartbeat,
-    start_heartbeat,
-    sweep_stale_run_dirs,
-)
-
-__all__ = [
-    "TAXONOMIES",
-    "ArtifactStore",
-    "BenchmarkFailure",
-    "CrashJournal",
-    "PoolBrokenError",
-    "SupervisedTaskError",
-    "SuperviseConfig",
-    "TaskOutcome",
-    "TaskSupervisor",
-    "BenchmarkFaultPlan",
-    "DeadlineBudget",
-    "DeadlineExceeded",
-    "GradientFaultInjector",
-    "GuardConfig",
-    "GuardReport",
-    "InjectedFault",
-    "NumericalFault",
-    "Retrier",
-    "RetryError",
-    "RetryPolicy",
-    "RobustSuiteRunner",
-    "StoreStats",
-    "SuiteReport",
-    "TraceFaults",
-    "TrainingGuard",
-    "call_with_retry",
-    "check_isvm_health",
-    "corrupt_trace",
-    "heartbeat_path",
-    "kill_process",
-    "non_finite_fraction",
-    "pid_alive",
-    "poison_isvm",
-    "read_heartbeat",
-    "start_heartbeat",
-    "sweep_stale_run_dirs",
-    "with_retry",
-]

@@ -8,6 +8,7 @@ miss counts and the engine-state digest are bit-identical to an
 uninterrupted run.
 """
 
+import os
 import pickle
 import signal
 import subprocess
@@ -57,7 +58,9 @@ def _run_worker(policy, store_dir, kill_after):
     proc = subprocess.run(
         [sys.executable, "-c", WORKER, str(FIXTURE), policy,
          str(store_dir), str(kill_after)],
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        # Keep the caller's environment (PYTHONDONTWRITEBYTECODE included):
+        # only the import path is the worker's own.
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         capture_output=True,
         timeout=300,
     )
