@@ -9,9 +9,10 @@ per-line integers and flat tables it is pure overhead.
 
 This module provides:
 
-* **Fast-path kernels** — flat-list tag/dirty/last-touch/RRPV state per
-  set (no per-line objects, no per-access allocation, set/tag splitting
-  vectorized up front with NumPy).  Eight kernel classes serve the
+* **Fast-path kernels** — flat per-set tag/dirty/RRPV state (no
+  per-line objects, set/tag splitting vectorized up front with NumPy;
+  the recency kernel's sets are recency-ordered dicts, so a hit or a
+  victim costs O(1)).  Eight kernel classes serve the
   twelve registry policies plus Belady's MIN, each with one coroutine
   loop that a whole-stream ``feed`` sends once and a ``step`` sends one
   access at a time.  The recency (LRU, MRU), random and MIN kernels
@@ -37,8 +38,8 @@ This module provides:
   access when they differ.
 * **A fast stream filter** — :func:`fast_filter_to_llc_stream`, a
   rewrite of the policy-independent L1/L2 LRU filter that dominates
-  stream construction; it produces a bit-identical
-  :class:`~repro.cache.hierarchy.LLCStream`.
+  stream construction, on recency-ordered dict sets; it produces a
+  bit-identical :class:`~repro.cache.hierarchy.LLCStream`.
 
 Determinism: the stochastic kernels (random, BRRIP) reproduce the
 reference policies' exact RNG draw sequence (``np.random.default_rng``
@@ -194,30 +195,32 @@ class _RecencyKernel(_StreamKernel):
     pickled between chunks for checkpointed streaming replay; a one-shot
     :func:`replay` is a single :meth:`feed` of the whole stream.  The
     loop itself is the coroutine :func:`_recency_loop`.
+
+    Each set's ``tag_t`` entry is a dict from resident tag to way whose
+    key order is recency order, least recent first: a hit re-inserts its
+    tag, LRU evicts the first key and MRU the last.  The LLC never
+    invalidates a line, so a set holding ``n`` lines fills ways
+    ``0..n-1`` and its next fill takes way ``n``, the reference's first
+    invalid way; no fill count is kept.
     """
 
     def __init__(self, config: CacheConfig, newest: bool) -> None:
         super().__init__(config)
-        num_sets, assoc = config.num_sets, config.associativity
         self.newest = newest
-        self.touch_t = [[0] * assoc for _ in range(num_sets)]
-        self.counter = 0
+        self.tag_t = [{} for _ in range(config.num_sets)]
+        del self.fill_count
 
     def _loop(self):
         return _recency_loop(self)
 
 
 def _recency_loop(kernel):
-    config = kernel.config
-    num_sets, assoc = config.num_sets, config.associativity
+    assoc = kernel.config.associativity
     newest = kernel.newest
     tag_t = kernel.tag_t
-    touch_t = kernel.touch_t
     dirty_t = kernel.dirty_t
-    fill_count = kernel.fill_count
-    dh, dm, wh, wm, ev, dev, counter = (
-        kernel.dh, kernel.dm, kernel.wh, kernel.wm,
-        kernel.ev, kernel.dev, kernel.counter,
+    dh, dm, wh, wm, ev, dev = (
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev
     )
     pch = kernel.pch
     pcm = kernel.pcm
@@ -229,12 +232,11 @@ def _recency_loop(kernel):
                 s = sets[i]
                 t = tags[i]
                 k = kinds[i]
-                counter += 1
-                row = tag_t[s]
-                if t in row:
-                    w = row.index(t)
+                lines = tag_t[s]
+                w = lines.pop(t, -1)
+                if w >= 0:
+                    lines[t] = w
                     hit = True
-                    touch_t[s][w] = counter
                     if k != _KIND_LOAD:
                         dirty_t[s][w] = True
                     if k != _KIND_WRITEBACK:
@@ -254,24 +256,21 @@ def _recency_loop(kernel):
                     wm += 1
                 hit = False
                 ev_tag, ev_dirty = -1, False
-                if fill_count[s] < assoc:
-                    w = row.index(-1)
-                    fill_count[s] += 1
-                else:
-                    tr = touch_t[s]
-                    w = tr.index(max(tr)) if newest else tr.index(min(tr))
-                    ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                w = len(lines)
+                if w == assoc:
+                    ev_tag = next(reversed(lines)) if newest else next(iter(lines))
+                    w = lines.pop(ev_tag)
+                    ev_dirty = dirty_t[s][w]
                     ev += 1
                     if ev_dirty:
                         dev += 1
-                row[w] = t
-                touch_t[s][w] = counter
+                lines[t] = w
                 dirty_t[s][w] = k != _KIND_LOAD
                 if record is not None:
                     record.append((0, 0, w, ev_tag, int(ev_dirty)))
     finally:
         kernel.dh, kernel.dm, kernel.wh, kernel.wm = dh, dm, wh, wm
-        kernel.ev, kernel.dev, kernel.counter = ev, dev, counter
+        kernel.ev, kernel.dev = ev, dev
 
 
 class _RandomKernel(_StreamKernel):
@@ -794,12 +793,15 @@ def fast_filter_to_llc_stream(trace, config: HierarchyConfig | None = None):
 
 
 def _fast_filter(trace, config: HierarchyConfig | None = None):
-    """Vectorized rewrite of :func:`repro.cache.hierarchy.filter_to_llc_stream`.
+    """Fast rewrite of :func:`repro.cache.hierarchy.filter_to_llc_stream`.
 
     The L1/L2 filter is policy-independent (both levels are true LRU)
     and the recorded stream does not depend on the LLC's own state, so
-    this simulates only L1 and L2 with flat per-set lists and skips the
-    LLC entirely.  Output is bit-identical to the reference filter:
+    this simulates only L1 and L2 and skips the LLC entirely.  Only the
+    set/tag split is vectorized with NumPy; the LRU sets are simulated
+    access by access in Python, each set a recency-ordered dict (see
+    :class:`StreamingLLCFilter`).  Output is bit-identical to the
+    reference filter:
     same access order (each L2 demand miss, then any L2 dirty-eviction
     writeback), same writeback PC/core attribution, same
     ``l1_hits``/``l2_hits``.
@@ -861,11 +863,15 @@ class StreamingLLCFilter:
 
     Feed raw trace columns in bounded chunks; each :meth:`feed` returns
     the :class:`StreamChunk` of accesses that reached the LLC during
-    that chunk (possibly empty).  All filter state (L1/L2 tag/touch
-    tables, dirty bits, LRU counters, hit counts) lives in plain-list
-    attributes, so the filter pickles for checkpointed resume and a
-    single whole-trace feed is bit-identical to :func:`_fast_filter`
-    (which is now routed through this class).
+    that chunk (possibly empty).  Each L1 and L2 set is a dict whose key
+    order is recency order, least recent first: a hit re-inserts its
+    tag and the victim is the first key.  An L2 entry's value is the
+    line's ``(dirty, pc)``, the PC being the one that filled it, which a
+    dirty eviction's writeback carries.  All filter state (the per-set
+    dicts and hit counts) is plain attribute state, so the filter
+    pickles for checkpointed resume and a single whole-trace feed is
+    bit-identical to :func:`_fast_filter` (which is routed through this
+    class).
     """
 
     def __init__(self, config: HierarchyConfig | None = None, name: str = "stream") -> None:
@@ -878,18 +884,9 @@ class StreamingLLCFilter:
         self.config = config
         self.name = name
         self.shift = (l1c.line_size - 1).bit_length()
-        assoc1, assoc2 = l1c.associativity, l2c.associativity
-        self.l1_tags = [[-1] * assoc1 for _ in range(l1c.num_sets)]
-        self.l1_touch = [[0] * assoc1 for _ in range(l1c.num_sets)]
-        self.l1_fill = [0] * l1c.num_sets
-        self.l2_tags = [[-1] * assoc2 for _ in range(l2c.num_sets)]
-        self.l2_touch = [[0] * assoc2 for _ in range(l2c.num_sets)]
-        self.l2_dirty = [[False] * assoc2 for _ in range(l2c.num_sets)]
-        self.l2_pc = [[0] * assoc2 for _ in range(l2c.num_sets)]
-        self.l2_core = [[0] * assoc2 for _ in range(l2c.num_sets)]
-        self.l2_fill = [0] * l2c.num_sets
-        self.c1 = self.c2 = self.l1_hits = self.l2_hits = 0
-        self.accesses_seen = 0
+        self.l1_sets = [{} for _ in range(l1c.num_sets)]
+        self.l2_sets = [{} for _ in range(l2c.num_sets)]
+        self.l1_hits = self.l2_hits = 0
 
     def feed(self, pcs, addresses, is_write) -> StreamChunk:
         return _filter_feed(self, pcs, addresses, is_write)
@@ -911,53 +908,36 @@ def _filter_feed(filt, pcs_arr, addresses_arr, is_write_arr) -> StreamChunk:
     writes = np.asarray(is_write_arr).tolist()
 
     assoc1, assoc2 = l1c.associativity, l2c.associativity
-    l1_tags = filt.l1_tags
-    l1_touch = filt.l1_touch
-    l1_fill = filt.l1_fill
-    l2_tags = filt.l2_tags
-    l2_touch = filt.l2_touch
-    l2_dirty = filt.l2_dirty
-    l2_pc = filt.l2_pc
-    l2_core = filt.l2_core
-    l2_fill = filt.l2_fill
+    l1_sets = filt.l1_sets
+    l2_sets = filt.l2_sets
 
     r_pcs: list[int] = []
     r_addresses: list[int] = []
     r_kinds: list[int] = []
-    r_cores: list[int] = []
-    c1, c2, l1_hits, l2_hits = filt.c1, filt.c2, filt.l1_hits, filt.l2_hits
+    l1_hits, l2_hits = filt.l1_hits, filt.l2_hits
     # Service level per source access (LLCStream.LEVEL_* codes: 0 L1 hit,
     # 1 L2 hit, 2 reached the LLC); L1 hits keep the zero fill.
     levels = bytearray(len(lines))
 
     for i in range(len(lines)):
-        is_write = writes[i]
-        c1 += 1
-        s = set1[i]
         t = tag1[i]
-        row = l1_tags[s]
-        if t in row:
-            l1_touch[s][row.index(t)] = c1
+        ways = l1_sets[set1[i]]
+        if t in ways:
+            del ways[t]
+            ways[t] = None
             l1_hits += 1
             continue
-        if l1_fill[s] < assoc1:
-            w = row.index(-1)
-            l1_fill[s] += 1
-        else:
-            tr = l1_touch[s]
-            w = tr.index(min(tr))
-        row[w] = t
-        l1_touch[s][w] = c1
+        if len(ways) == assoc1:
+            del ways[next(iter(ways))]
+        ways[t] = None
 
-        c2 += 1
+        is_write = writes[i]
         s = set2[i]
         t = tag2[i]
-        row = l2_tags[s]
-        if t in row:
-            w = row.index(t)
-            l2_touch[s][w] = c2
-            if is_write:
-                l2_dirty[s][w] = True
+        ways = l2_sets[s]
+        line = ways.pop(t, None)
+        if line is not None:
+            ways[t] = (True, line[1]) if is_write else line
             l2_hits += 1
             levels[i] = 1
             continue
@@ -966,31 +946,23 @@ def _filter_feed(filt, pcs_arr, addresses_arr, is_write_arr) -> StreamChunk:
         r_pcs.append(pc)
         r_addresses.append(addresses[i])
         r_kinds.append(_KIND_STORE if is_write else _KIND_LOAD)
-        r_cores.append(0)
-        if l2_fill[s] < assoc2:
-            w = row.index(-1)
-            l2_fill[s] += 1
-        else:
-            tr = l2_touch[s]
-            w = tr.index(min(tr))
-            if l2_dirty[s][w]:
-                r_pcs.append(l2_pc[s][w])
-                r_addresses.append(((row[w] << tag_shift2) | s) << shift)
+        if len(ways) == assoc2:
+            victim = next(iter(ways))
+            dirty, victim_pc = ways.pop(victim)
+            if dirty:
+                r_pcs.append(victim_pc)
+                r_addresses.append(((victim << tag_shift2) | s) << shift)
                 r_kinds.append(_KIND_WRITEBACK)
-                r_cores.append(l2_core[s][w])
-        row[w] = t
-        l2_touch[s][w] = c2
-        l2_dirty[s][w] = is_write
-        l2_pc[s][w] = pc
-        l2_core[s][w] = 0
+        ways[t] = (is_write, pc)
 
-    filt.c1, filt.c2, filt.l1_hits, filt.l2_hits = c1, c2, l1_hits, l2_hits
-    filt.accesses_seen += len(lines)
+    filt.l1_hits, filt.l2_hits = l1_hits, l2_hits
     return StreamChunk(
         name=filt.name,
         pcs=np.array(r_pcs, dtype=np.uint64),
         addresses=np.array(r_addresses, dtype=np.uint64),
         kinds=np.array(r_kinds, dtype=np.int8),
-        cores=np.array(r_cores, dtype=np.int16),
+        # The filter sees one core's accesses; callers that stream a
+        # core other than 0 overwrite the column.
+        cores=np.zeros(len(r_pcs), dtype=np.int16),
         levels=np.frombuffer(levels, dtype=np.int8),
     )

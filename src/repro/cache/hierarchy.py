@@ -264,7 +264,7 @@ def filter_to_llc_stream(
 ) -> LLCStream:
     """Phase 1: record the LLC-bound access stream for ``trace``.
 
-    ``engine="auto"`` (the default) uses the vectorized fast filter in
+    ``engine="auto"`` (the default) uses the fast filter in
     :mod:`repro.cache.fastsim`, which produces a bit-identical stream;
     ``engine="reference"`` forces the original object-based hierarchy.
     """

@@ -12,7 +12,7 @@ references use; Figure 13's weighted speedup
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -96,6 +96,53 @@ class SingleCoreSystem:
         return self._system([trace])._run([stream])
 
 
+#: Core ``i``'s PCs are offset by ``i << _PC_SHIFT`` and its
+#: addresses by ``i << _ADDRESS_SHIFT`` (see :func:`core_streams`).
+_PC_SHIFT, _ADDRESS_SHIFT = 40, 44
+
+
+def quota_view(trace: Trace, quota: int) -> Trace:
+    """The trace's first ``quota`` accesses, rewound whenever it ends."""
+    if len(trace) == 0:
+        raise ValueError(f"{trace.name}: empty trace")
+    order = np.arange(quota) % len(trace)
+    return Trace(
+        name=trace.name,
+        pcs=trace.pcs[order],
+        addresses=trace.addresses[order],
+        is_write=trace.is_write[order],
+        line_size=trace.line_size,
+        instructions_per_access=trace.instructions_per_access,
+        metadata=dict(trace.metadata),
+    )
+
+
+def core_stream(stream: LLCStream, core_id: int, config: HierarchyConfig) -> LLCStream:
+    """Core ``core_id``'s LLC stream, from ``stream``, the filter of its
+    un-offset :func:`quota_view` by ``config``'s L1/L2.
+
+    The core's address offset is a multiple of every L1/L2 set span
+    (line size times sets), so within each set it maps tags one-to-one
+    and changes no hit, victim, writeback or service level; PCs only
+    ride along.  Offsetting the filtered stream therefore equals
+    filtering the offset view, and one filter serves every core that
+    runs the trace.  A geometry whose set span does not divide the
+    offset raises :class:`ValueError`.
+    """
+    for level in (config.l1, config.l2):
+        if (1 << _ADDRESS_SHIFT) % (level.line_size * level.num_sets):
+            raise ValueError(
+                f"{level.name}: set span does not divide the core address offset"
+            )
+    return replace(
+        stream,
+        pcs=stream.pcs + np.uint64(core_id << _PC_SHIFT),
+        addresses=stream.addresses + np.uint64(core_id << _ADDRESS_SHIFT),
+        cores=np.full(len(stream), core_id, dtype=np.int16),
+        metadata=dict(stream.metadata),
+    )
+
+
 def core_streams(
     traces: list[Trace], config: HierarchyConfig, quota: int
 ) -> list[LLCStream]:
@@ -111,25 +158,14 @@ def core_streams(
     LLC requests (every demand miss, then its L2 dirty writeback) are
     fixed before the timing loop runs; only the order in which the cores
     reach the LLC depends on timing.  The streams depend on the traces,
-    the L1/L2 geometry and the quota, never on the LLC policy.
+    the L1/L2 geometry and the quota, never on the LLC policy.  Each is
+    built by :func:`core_stream` from a filter of the un-offset
+    :func:`quota_view`.
     """
-    streams = []
-    for core_id, trace in enumerate(traces):
-        if len(trace) == 0:
-            raise ValueError(f"{trace.name}: empty trace")
-        order = np.arange(quota) % len(trace)
-        view = Trace(
-            name=trace.name,
-            pcs=trace.pcs[order] + np.uint64(core_id << 40),
-            addresses=trace.addresses[order] + np.uint64(core_id << 44),
-            is_write=trace.is_write[order],
-            line_size=trace.line_size,
-            instructions_per_access=trace.instructions_per_access,
-        )
-        stream = filter_to_llc_stream(view, config)
-        stream.cores = np.full(len(stream), core_id, dtype=np.int16)
-        streams.append(stream)
-    return streams
+    return [
+        core_stream(filter_to_llc_stream(quota_view(trace, quota), config), i, config)
+        for i, trace in enumerate(traces)
+    ]
 
 
 @dataclass
@@ -160,9 +196,10 @@ class MultiCoreSystem:
     as it comes.  A name or an instance takes the policy's fast kernel
     when it has one; after :meth:`run` an instance holds its trained
     state, and ``llc.stats`` the LLC's statistics.
-    ``streams``, when given, are this system's :func:`core_streams` for
-    the quota :meth:`run` will be asked for, so the systems of one mix
-    share a single filter pass.
+    ``streams``, when given, equal this system's :func:`core_streams`
+    for the quota :meth:`run` will be asked for, so the systems of one
+    mix share them (Figure 13 builds them with :func:`core_stream` from
+    each benchmark's cached quota stream).
     :func:`repro.conformance.multi_core.reference_multi_core` is the
     per-access oracle it must match exactly, at every core count.  A
     system runs once: a second :meth:`run` raises :class:`RuntimeError`.

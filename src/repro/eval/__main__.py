@@ -108,6 +108,20 @@ def _fault_plan(spec: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "obs":
@@ -181,11 +195,11 @@ def main(argv: list[str] | None = None) -> int:
         "--deadline", type=float, default=None, help="suite deadline budget, seconds"
     )
     parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SEC",
+        "--task-timeout", type=_positive_float, default=None, metavar="SEC",
         help="per-task wall-clock deadline in worker pools (--jobs > 1)",
     )
     parser.add_argument(
-        "--max-pool-restarts", type=int, default=2, metavar="N",
+        "--max-pool-restarts", type=_non_negative_int, default=2, metavar="N",
         help="pool recreations after worker crashes before degrading",
     )
     parser.add_argument(

@@ -13,8 +13,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from ..cache.config import HierarchyConfig
 from ..cache.hierarchy import LLCStream
-from ..cpu.system import MultiCoreSystem, SingleCoreSystem, core_streams
+from ..cpu.system import MultiCoreSystem, SingleCoreSystem, core_stream
 from ..perf.parallel import RunContext
 from ..policies.registry import make_policy
 from ..traces.mixes import WorkloadMix, make_mixes
@@ -53,7 +54,7 @@ def _make_mix_policy(policy_name: str, cores: int):
 
 
 def _weighted_ipc(
-    cache: ArtifactCache,
+    hierarchy: HierarchyConfig,
     mix: WorkloadMix,
     policy_name: str,
     quota: int,
@@ -61,11 +62,10 @@ def _weighted_ipc(
     traces: list[Trace],
     streams: list[LLCStream],
 ) -> float:
-    cores = len(traces)
     system = MultiCoreSystem(
         traces,
-        cache.config.hierarchy(cores=cores),
-        _make_mix_policy(policy_name, cores),
+        hierarchy,
+        _make_mix_policy(policy_name, len(traces)),
         streams=streams,
     )
     result = system.run(quota_accesses=quota)
@@ -100,17 +100,26 @@ def _mix_task(
 ) -> MixResult:
     """One S-curve point: a mix under LRU and every contender.
 
-    The cores' private L1/L2 do not depend on the LLC policy, so the mix
-    is filtered once and every policy's system steps the same streams.
+    The cores' private L1/L2 do not depend on the LLC policy, so every
+    policy's system steps the same streams.  Each core's stream is its
+    benchmark's un-offset quota stream, which the cache filters at most
+    once per process (:meth:`ArtifactCache.quota_stream`), with the core's
+    offsets added.
     """
     mix = mixes[name]
+    hierarchy = cache.config.hierarchy(cores=len(mix.benchmarks))
     traces = [cache.trace(b) for b in mix.benchmarks]
-    streams = core_streams(traces, cache.config.hierarchy(cores=len(traces)), quota)
-    lru_weighted = _weighted_ipc(cache, mix, "lru", quota, single_ipcs, traces, streams)
+    streams = [
+        core_stream(cache.quota_stream(b, quota, hierarchy), i, hierarchy)
+        for i, b in enumerate(mix.benchmarks)
+    ]
+    lru_weighted = _weighted_ipc(
+        hierarchy, mix, "lru", quota, single_ipcs, traces, streams
+    )
     speedups: dict[str, float] = {}
     for policy in policies:
         weighted = _weighted_ipc(
-            cache, mix, policy, quota, single_ipcs, traces, streams
+            hierarchy, mix, policy, quota, single_ipcs, traces, streams
         )
         speedups[policy] = 100.0 * (weighted / max(1e-9, lru_weighted) - 1.0)
     return MixResult(mix=mix, weighted_speedup_percent=speedups)

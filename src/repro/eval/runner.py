@@ -23,6 +23,7 @@ import numpy as np
 from ..cache.config import HierarchyConfig, scaled_hierarchy
 from ..cache.hierarchy import LLCStream, filter_to_llc_stream, simulate_llc
 from ..cache.stats import CacheStats
+from ..cpu.system import quota_view
 from ..ml.dataset import LabelledTrace, label_trace
 from ..ml.model import LSTMConfig
 from ..policies.registry import make_policy
@@ -164,6 +165,33 @@ def _labelled_from_arrays(arrays: dict, meta: dict) -> LabelledTrace:
     )
 
 
+def _stream_head(stream: LLCStream, head: Trace) -> LLCStream:
+    """The part of ``stream`` that the first ``len(head)`` source
+    accesses produced, ``head`` being that prefix of the filtered trace.
+
+    A filter emits each LLC demand request followed at once by the
+    writeback of the dirty L2 line it displaced, if any, so the part
+    ends just before the first demand request beyond the prefix's.
+    """
+    levels = stream.levels[: len(head)]
+    demands = np.flatnonzero(stream.kinds != LLCStream.KIND_WRITEBACK)
+    kept = int(np.count_nonzero(levels == LLCStream.LEVEL_LLC))
+    cut = int(demands[kept]) if kept < len(demands) else len(stream)
+    return replace(
+        stream,
+        pcs=stream.pcs[:cut],
+        addresses=stream.addresses[:cut],
+        kinds=stream.kinds[:cut],
+        cores=stream.cores[:cut],
+        source_accesses=head.num_accesses,
+        source_instructions=head.num_instructions,
+        l1_hits=int(np.count_nonzero(levels == LLCStream.LEVEL_L1)),
+        l2_hits=int(np.count_nonzero(levels == LLCStream.LEVEL_L2)),
+        metadata=dict(stream.metadata),
+        levels=levels,
+    )
+
+
 @dataclass(frozen=True)
 class LLCReplay:
     """What one policy's replay of a benchmark's LLC stream leaves behind:
@@ -200,6 +228,7 @@ class ArtifactCache:
         self._streams: dict[str, LLCStream] = {}
         self._labelled: dict[str, LabelledTrace] = {}
         self._replays: dict[tuple[str, str], LLCReplay] = {}
+        self._quota_streams: dict[tuple, LLCStream] = {}
 
     def __getstate__(self) -> dict:
         # A pool worker gets (config, store root) and starts with an empty
@@ -219,13 +248,15 @@ class ArtifactCache:
         )
 
     def llc_stream(self, benchmark: str) -> LLCStream:
-        if benchmark in self._streams:
-            return self._streams[benchmark]
-        digest = self.config.digest()
-        if self.store is not None:
-            stream = self._stored_stream(benchmark, digest)
-            if stream is not None:
-                return stream
+        stream = self._held_stream(benchmark)
+        if stream is not None:
+            return stream
+        if self.store is None:
+            stream = filter_to_llc_stream(
+                self.trace(benchmark), self.config.hierarchy()
+            )
+        else:
+            digest = self.config.digest()
             # Cross-process dedup: when another worker is already filtering
             # this stream, wait for its artifact instead of recomputing.
             with self.store.single_flight(benchmark, "llc_stream", digest) as owner:
@@ -238,11 +269,16 @@ class ArtifactCache:
                 )
                 arrays, meta = _stream_to_arrays(stream)
                 self.store.put(benchmark, "llc_stream", digest, arrays, meta)
-            self._streams[benchmark] = stream
-            return stream
-        stream = filter_to_llc_stream(self.trace(benchmark), self.config.hierarchy())
         self._streams[benchmark] = stream
         return stream
+
+    def _held_stream(self, benchmark: str) -> LLCStream | None:
+        """The benchmark's stream if memory or the store already holds it."""
+        if benchmark in self._streams:
+            return self._streams[benchmark]
+        if self.store is not None:
+            return self._stored_stream(benchmark, self.config.digest())
+        return None
 
     def _stored_stream(self, benchmark: str, digest: str) -> LLCStream | None:
         cached = self.store.get(benchmark, "llc_stream", digest)
@@ -250,6 +286,33 @@ class ArtifactCache:
         if stream is not None:
             self._streams[benchmark] = stream
         return stream
+
+    def quota_stream(
+        self, benchmark: str, quota: int, hierarchy: HierarchyConfig
+    ) -> LLCStream:
+        """The benchmark's :func:`~repro.cpu.system.quota_view` filtered by
+        ``hierarchy``'s L1/L2, un-offset (see
+        :func:`~repro.cpu.system.core_stream`).
+
+        Cut from the benchmark's whole-trace stream when this cache holds
+        it (in memory or in the store), the L1/L2 are this config's and
+        the quota fits in the trace: a filter's output on a prefix is a
+        prefix of its output.  Otherwise the quota view is filtered once
+        per ``(benchmark, quota, L1, L2)`` and kept in memory, so a pool
+        worker never filters a whole trace to take a prefix of it.
+        """
+        trace = self.trace(benchmark)
+        own = self.config.hierarchy()
+        if quota <= len(trace) and (hierarchy.l1, hierarchy.l2) == (own.l1, own.l2):
+            stream = self._held_stream(benchmark)
+            if stream is not None:
+                return _stream_head(stream, trace[:quota])
+        key = (benchmark, quota, hierarchy.l1, hierarchy.l2)
+        if key not in self._quota_streams:
+            self._quota_streams[key] = filter_to_llc_stream(
+                quota_view(trace, quota), hierarchy
+            )
+        return self._quota_streams[key]
 
     def labelled(self, benchmark: str) -> LabelledTrace:
         """Belady-labelled LLC stream of a benchmark (offline training data)."""
@@ -312,3 +375,4 @@ class ArtifactCache:
         self._streams.clear()
         self._labelled.clear()
         self._replays.clear()
+        self._quota_streams.clear()

@@ -51,8 +51,9 @@ __all__ = ["CHECKPOINT_SCHEMA", "StreamReplayResult", "stream_replay"]
 #: from an older layout is ignored (the replay restarts) instead of
 #: resuming into mismatched state.  v2: the Hawkeye/Glider samplers
 #: count OPT hits and store each sampled access's prediction.  v3:
-#: SRRIP and BRRIP run on the DRRIP kernel.
-CHECKPOINT_SCHEMA = "repro.traces.ingest/checkpoint-v3"
+#: SRRIP and BRRIP run on the DRRIP kernel.  v4: the L1/L2 filter's sets
+#: and the LRU/MRU kernel's sets are recency-ordered dicts.
+CHECKPOINT_SCHEMA = "repro.traces.ingest/checkpoint-v4"
 
 _CKPT_STAGE = "ingest-checkpoint"
 

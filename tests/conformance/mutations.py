@@ -17,29 +17,39 @@ import repro.cpu.system as system
 class OffByOneRecencyKernel(fastsim._RecencyKernel):
     """The LRU/MRU stream kernel with an off-by-one in the victim choice.
 
-    Identical to :func:`repro.cache.fastsim._recency_loop` except the
-    chosen victim way is rotated by one — the classic indexing bug a
-    fast-path rewrite can introduce.  Diverges from the reference
-    engine on the first eviction from any full set.
+    An LRU/MRU replay written against the same event contract as
+    :func:`repro.cache.fastsim._recency_loop`, except the chosen victim
+    way is rotated by one — the classic indexing bug a fast-path rewrite
+    can introduce.  Diverges from the reference engine on the first
+    eviction from any full set.  It keeps its own per-way tag, dirty and
+    last-touch tables, so it does not depend on how the real kernel lays
+    out its sets; only the event counters that :meth:`finish` reports
+    are shared.
     """
+
+    def __init__(self, config, newest: bool) -> None:
+        super().__init__(config, newest)
+        num_sets, assoc = config.num_sets, config.associativity
+        self.ways = [[-1] * assoc for _ in range(num_sets)]
+        self.dirty = [[False] * assoc for _ in range(num_sets)]
+        self.touch = [[0] * assoc for _ in range(num_sets)]
+        self.clock = 0
 
     def feed(self, stream, record=None) -> None:
         config = self.config
         sets, tags, kinds, cores = fastsim._decode_stream(stream, config)
         assoc = config.associativity
-        tag_t, touch_t, dirty_t = self.tag_t, self.touch_t, self.dirty_t
-        fill_count = self.fill_count
         for i in range(len(sets)):
             s = sets[i]
             t = tags[i]
             k = kinds[i]
-            self.counter += 1
-            row = tag_t[s]
+            self.clock += 1
+            row, dirty, touch = self.ways[s], self.dirty[s], self.touch[s]
             if t in row:
                 w = row.index(t)
-                touch_t[s][w] = self.counter
+                touch[w] = self.clock
                 if k != fastsim._KIND_LOAD:
-                    dirty_t[s][w] = True
+                    dirty[w] = True
                 if k != fastsim._KIND_WRITEBACK:
                     self.dh += 1
                     c = cores[i]
@@ -56,20 +66,18 @@ class OffByOneRecencyKernel(fastsim._RecencyKernel):
             else:
                 self.wm += 1
             ev_tag, ev_dirty = -1, False
-            if fill_count[s] < assoc:
+            if -1 in row:
                 w = row.index(-1)
-                fill_count[s] += 1
             else:
-                tr = touch_t[s]
-                w = tr.index(max(tr)) if self.newest else tr.index(min(tr))
+                w = touch.index(max(touch) if self.newest else min(touch))
                 w = (w + 1) % assoc  # THE INJECTED OFF-BY-ONE
-                ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                ev_tag, ev_dirty = row[w], dirty[w]
                 self.ev += 1
                 if ev_dirty:
                     self.dev += 1
             row[w] = t
-            touch_t[s][w] = self.counter
-            dirty_t[s][w] = k != fastsim._KIND_LOAD
+            touch[w] = self.clock
+            dirty[w] = k != fastsim._KIND_LOAD
             if record is not None:
                 record.append((0, 0, w, ev_tag, int(ev_dirty)))
 

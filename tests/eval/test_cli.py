@@ -47,6 +47,26 @@ def test_robust_flags_rejected_outside_grid_figures(argv, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--task-timeout", "-1"],
+        ["--task-timeout", "0"],
+        ["--task-timeout", "nan"],
+        ["--max-pool-restarts", "-1"],
+    ],
+)
+def test_bad_pool_knobs_are_usage_errors(flag, jobs, capsys):
+    # Checked by argparse at every --jobs, before any pool is built: a
+    # bad value is a usage error (exit 2), not a traceback.
+    argv = ["fig11", "--length", "2000", "--benchmarks", "mcf", "--jobs", jobs]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + flag)
+    assert excinfo.value.code == 2
+    assert f"argument {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_fig11_robust_degrades_then_resumes(tmp_path, capsys, jobs):
     store = tmp_path / "store"
     argv = [

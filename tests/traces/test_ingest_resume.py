@@ -182,3 +182,52 @@ def test_stale_schema_checkpoint_reads_as_none(tmp_path, monkeypatch):
     assert resumed.stats == full.stats
     assert resumed.state_digest == full.state_digest
     assert resumed.records == full.records == 3000
+
+
+def test_v3_layout_checkpoint_reads_as_none(tmp_path):
+    """A checkpoint pickled with the v3 layout (the filter's per-way tag,
+    touch and fill tables; the LRU kernel's touch table and counter)
+    must read as "no checkpoint", not resume into objects whose loops
+    would fail with an ``AttributeError``."""
+    config = None
+    filt = fastsim.StreamingLLCFilter(config, name=FIXTURE.name)
+    kernel = fastsim.make_stream_kernel("lru", config)
+    l1, l2 = filt.config.l1, filt.config.l2
+    filt.__dict__ = {
+        "config": filt.config, "name": filt.name, "shift": filt.shift,
+        "l1_tags": [[-1] * l1.associativity for _ in range(l1.num_sets)],
+        "l1_touch": [[0] * l1.associativity for _ in range(l1.num_sets)],
+        "l1_fill": [0] * l1.num_sets,
+        "l2_tags": [[-1] * l2.associativity for _ in range(l2.num_sets)],
+        "l2_touch": [[0] * l2.associativity for _ in range(l2.num_sets)],
+        "l2_dirty": [[False] * l2.associativity for _ in range(l2.num_sets)],
+        "l2_pc": [[0] * l2.associativity for _ in range(l2.num_sets)],
+        "l2_core": [[0] * l2.associativity for _ in range(l2.num_sets)],
+        "l2_fill": [0] * l2.num_sets,
+        "c1": 0, "c2": 0, "l1_hits": 0, "l2_hits": 0, "accesses_seen": 600,
+    }
+    llc = kernel.config
+    kernel.tag_t = [[-1] * llc.associativity for _ in range(llc.num_sets)]
+    kernel.touch_t = [[0] * llc.associativity for _ in range(llc.num_sets)]
+    kernel.fill_count = [0] * llc.num_sets
+    kernel.counter = 0
+    old_schema = "repro.traces.ingest/checkpoint-v3"
+    blob = pickle.dumps(
+        {"cursor": 600, "kernel": kernel, "filter": filt, "llc_accesses": 0}
+    )
+    store = ArtifactStore(tmp_path / "store")
+    store.put(
+        "clean.champsim.gz--lru--strict",
+        "ingest-checkpoint",
+        "latest",
+        {"state": np.frombuffer(blob, dtype=np.uint8)},
+        metadata={"schema": old_schema, "cursor": 600},
+    )
+    resumed = stream_replay(
+        FIXTURE, "lru", chunk_records=CHUNK, store=store, resume=True
+    )
+    full = stream_replay(FIXTURE, "lru", chunk_records=CHUNK)
+    assert resumed.resumed_from is None
+    assert resumed.stats == full.stats
+    assert resumed.state_digest == full.state_digest
+    assert resumed.records == full.records == 3000
