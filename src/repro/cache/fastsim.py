@@ -95,10 +95,8 @@ __all__ = [
 FAST_PATH_POLICIES = tuple(n for n, spec in policy_specs().items() if spec.kernel)
 
 #: Registry names without a kernel: SDBP, whose LRU-by-last-touch
-#: substrate and skewed three-table predictor no kernel models yet, and
-#: the frd family, whose per-set reuse-distance heads live in hook-level
-#: state.  No paper figure runs them; they replay on the reference
-#: engine.
+#: substrate and skewed three-table predictor no kernel models yet.  No
+#: paper figure runs it; it replays on the reference engine.
 REFERENCE_ONLY_POLICIES = tuple(
     n for n, spec in policy_specs().items() if spec.kernel is None
 )

@@ -247,21 +247,18 @@ def seed_corpus(corpus_dir: str | Path | None = None, length: int = 400) -> list
 
 #: Generator family most likely to exercise each learned policy's
 #: decision machinery (duelling sets for DRRIP, signature reuse skew
-#: for SHiP, scan-resistance for SHiP++/Hawkeye/Glider, reuse-distance
-#: regression for frd, periodic gaps for mustache, dead-on-admission
-#: bypass for deap and MPPPB).  A policy's seed-scan index is its
-#: position here, so new names go at the end: the checked-in sentinel
-#: bytes of the earlier ones stay stable.
+#: for SHiP, scan-resistance for SHiP++/Hawkeye/Glider, dead-on-admission
+#: bypass for MPPPB), and the policy's seed-scan index: its seeds start
+#: at ``200 + index``.  The index is fixed per policy, never derived
+#: from its position, so adding or removing a name leaves every other
+#: checked-in sentinel byte-stable; a new name takes an unused index.
 _POLICY_SENTINEL_FAMILY = {
-    "drrip": "set-camp",
-    "ship": "zipf",
-    "ship++": "mix",
-    "hawkeye": "pointer-chase",
-    "glider": "scan",
-    "frd": "zipf",
-    "mustache": "scan",
-    "deap": "thrash",
-    "mpppb": "thrash",
+    "drrip": ("set-camp", 0),
+    "ship": ("zipf", 1),
+    "ship++": ("mix", 2),
+    "hawkeye": ("pointer-chase", 3),
+    "glider": ("scan", 4),
+    "mpppb": ("thrash", 8),
 }
 
 
@@ -273,11 +270,11 @@ def seed_policy_sentinels(
     Each entry is the (near-)minimal substream on which the policy's
     replay still *distinguishes itself* from plain LRU — so the
     sentinel pins policy-specific decision paths (set duelling, SHCT
-    training, OPTgen verdicts, ISVM and perceptron sums, reuse-distance
-    buckets), not just generic cache bookkeeping.  The tier-1 corpus test replays
-    every one of them: fast-path policies through ``verify_parity``,
-    access-by-access, on both engines; reference-only policies (the frd
-    family among them) through the invariant-checked reference replay.
+    training, OPTgen verdicts, ISVM and perceptron sums), not just
+    generic cache bookkeeping.  The tier-1 corpus test replays every one
+    of them through ``verify_parity``, access-by-access, on both engines
+    (a reference-only policy would take the invariant-checked reference
+    replay instead).
 
     Deterministic and idempotent like :func:`seed_corpus`: fixed specs,
     a pure predicate, and ddmin's deterministic schedule always produce
@@ -289,7 +286,7 @@ def seed_policy_sentinels(
 
     corpus_dir = Path(corpus_dir or default_corpus_dir())
     paths = []
-    for i, (policy, family) in enumerate(_POLICY_SENTINEL_FAMILY.items()):
+    for policy, (family, i) in _POLICY_SENTINEL_FAMILY.items():
 
         def distinguishes(sub, policy=policy):
             if len(sub) == 0:

@@ -170,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         "--policies", default=None,
         help="fig11: comma-separated contender policies over the LRU "
         "baseline (default: hawkeye,mpppb,ship++,glider; any registry "
-        "name works, e.g. frd,mustache,deap)",
+        "name works, e.g. srrip,sdbp,perceptron)",
     )
     parser.add_argument("--epochs", type=int, default=None, help="LSTM epochs")
     parser.add_argument("--mixes", type=int, default=8, help="fig13 mix count")

@@ -128,9 +128,6 @@ class DecisionRecorder:
         self._series_every = 64
         self._worst: list[dict] = []
         self._events: list[dict] = []
-        # predicted reuse-distance bucket -> [predicted, resolved,
-        # optgen-friendly] (fed by the frd family's bucket= reports).
-        self._reuse_buckets: dict[int, list[int]] = {}
         self._model: dict[str, dict[str, float]] = {}
         self._drift: dict[str, dict[str, list]] = {}
         self._drift_points = 0
@@ -148,18 +145,12 @@ class DecisionRecorder:
         *,
         margin: float | None = None,
         counter: int | None = None,
-        bucket: int | None = None,
     ) -> None:
         """One demand access: record the live prediction, feed OPTgen.
 
         Only sampled-set accesses are processed (unsampled lines return
         immediately), so engines may pre-filter with their own sampled
         flags or call unconditionally — the stats are identical.
-
-        ``bucket`` is an optional quantized reuse-distance prediction
-        (the frd family); the recorder histograms it against the
-        OPTgen-resolved ground truth so reports can show predicted vs
-        realized reuse distance per bucket.
         """
         set_index = line % self.num_sets
         if set_index not in self._sampled:
@@ -177,13 +168,8 @@ class DecisionRecorder:
         if cell is None:
             cell = self._heatmap[set_index] = [0, 0, 0, 0]
         cell[0] += 1
-        if bucket is not None:
-            row = self._reuse_buckets.get(bucket)
-            if row is None:
-                row = self._reuse_buckets[bucket] = [0, 0, 0]
-            row[0] += 1
         signal = margin if margin is not None else counter
-        context = (predicted_friendly, self.seq, pc, line, signal, bucket)
+        context = (predicted_friendly, self.seq, pc, line, signal)
         for _tok, ctx, label in self._sampler.access(line, pc, context):
             self._score(ctx, label)
 
@@ -259,13 +245,7 @@ class DecisionRecorder:
 
     # -- scoring -------------------------------------------------------------
     def _score(self, ctx: tuple, label: bool) -> None:
-        predicted, seq0, pc, line, signal, bucket = ctx
-        if bucket is not None:
-            row = self._reuse_buckets.get(bucket)
-            if row is not None:
-                row[1] += 1
-                if label:
-                    row[2] += 1
+        predicted, seq0, pc, line, signal = ctx
         self.scored += 1
         if predicted == label:
             self.correct += 1
@@ -355,14 +335,6 @@ class DecisionRecorder:
             "evictions": self.evictions,
             "sampled_evictions": self.sampled_evictions,
             "worst_decisions": self.worst_total,
-            "reuse_buckets": {
-                str(b): {
-                    "predicted": row[0],
-                    "resolved": row[1],
-                    "optgen_friendly": row[2],
-                }
-                for b, row in sorted(self._reuse_buckets.items())
-            },
             "model": {p: dict(v) for p, v in self._model.items()},
         }
 

@@ -2,12 +2,9 @@
 
 from ..cache.policy import BYPASS, ReplacementPolicy
 from .belady_policy import BeladyPolicy
-from .deap import DEAPPolicy
-from .frd import FRDPolicy, SetFRDPredictor, bucket_midpoint, quantize_distance
 from .hawkeye import HawkeyePolicy, HawkeyePredictor
 from .lru import LRUPolicy, MRUPolicy
 from .mpppb import MPPPBPolicy, MultiperspectivePredictor
-from .mustache import MustachePolicy
 from .perceptron import PerceptronPolicy, PerceptronReusePredictor
 from .random_policy import RandomPolicy
 from .registry import (
@@ -25,16 +22,13 @@ __all__ = [
     "BYPASS",
     "BRRIPPolicy",
     "BeladyPolicy",
-    "DEAPPolicy",
     "DRRIPPolicy",
-    "FRDPolicy",
     "HawkeyePolicy",
     "HawkeyePredictor",
     "LRUPolicy",
     "MPPPBPolicy",
     "MRUPolicy",
     "MultiperspectivePredictor",
-    "MustachePolicy",
     "PAPER_POLICIES",
     "PerceptronPolicy",
     "PerceptronReusePredictor",
@@ -44,13 +38,10 @@ __all__ = [
     "SHiPPlusPlusPolicy",
     "SHiPPolicy",
     "SRRIPPolicy",
-    "SetFRDPredictor",
     "SkewedPredictor",
     "UnknownPolicyError",
     "available_policies",
-    "bucket_midpoint",
     "make_policy",
     "pc_signature",
-    "quantize_distance",
     "register_policy",
 ]

@@ -19,12 +19,9 @@ from typing import Callable, Mapping
 
 from ..cache.policy import ReplacementPolicy
 from ..core.glider import GliderConfig, GliderPolicy
-from .deap import DEAPPolicy
-from .frd import FRDPolicy
 from .hawkeye import HawkeyePolicy
 from .lru import LRUPolicy, MRUPolicy
 from .mpppb import MPPPBPolicy
-from .mustache import MustachePolicy
 from .perceptron import PerceptronPolicy
 from .random_policy import RandomPolicy
 from .rrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
@@ -198,9 +195,6 @@ _SPECS: dict[str, PolicySpec] = {
         GliderPolicy,
         _glider_kernel,
     ),
-    "frd": PolicySpec(FRDPolicy, FRDPolicy),
-    "mustache": PolicySpec(MustachePolicy, MustachePolicy),
-    "deap": PolicySpec(DEAPPolicy, DEAPPolicy),
 }
 
 #: The policies compared in the paper's online evaluation (Figures 11-13).

@@ -2,8 +2,7 @@
 
 A long-running prediction daemon that serves per-access eviction /
 insertion decisions and reuse predictions from any registry policy —
-the "online deployment" framing of DEAP Cache and Learning Forward
-Reuse Distance applied to our Glider/Hawkeye implementations.
+an online deployment of the Glider/Hawkeye implementations.
 
 The data plane is newline-delimited JSON over TCP; requests are routed
 by set index to supervised shard worker processes, each owning the

@@ -364,9 +364,14 @@ class ShardHandle:
         self._hb_seen: tuple[float, float] | None = None
 
     def start(self) -> None:
+        """Start the next generation.
+
+        The new queues, events and process are published before
+        ``restarts`` moves, so a poller that sees the new count never
+        pairs it with the dead generation's set ``ready`` or old pid.
+        """
         k = self._kwargs
         self.generation += 1
-        self.restarts += 1
         self.in_q = self._ctx.Queue(maxsize=self.queue_depth)
         self.out_q = self._ctx.Queue()
         self.ready = threading.Event()
@@ -397,6 +402,7 @@ class ShardHandle:
             ),
         )
         self.process.start()
+        self.restarts += 1
 
     @property
     def pid(self) -> int | None:

@@ -211,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     replay.add_argument(
         "--policy", default="lru",
         help="replacement policy name (e.g. lru, srrip, ship, hawkeye, "
-        "glider, frd, mustache, deap)",
+        "glider, mpppb, sdbp)",
     )
     replay.add_argument(
         "--engine", default="auto", choices=("auto", "fast", "reference"),

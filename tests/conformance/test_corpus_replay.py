@@ -17,6 +17,7 @@ from repro.conformance.corpus import (
     replay_entry,
     save_entry,
     seed_corpus,
+    seed_policy_sentinels,
 )
 from repro.conformance.generators import GENERATOR_FAMILIES
 
@@ -39,35 +40,13 @@ def test_corpus_is_shipped_and_covers_every_family():
 def test_corpus_has_a_sentinel_per_learned_policy():
     """Each learned policy is pinned by a ddmin-shrunk sentinel of its
     own (beyond the family sentinels that parity-check every fast-path
-    policy): the six fast-path learned policies plus the reference-only
-    reuse-distance family."""
+    policy): the six fast-path learned policies."""
     names = {benchmark for benchmark, _ in ENTRIES}
-    for policy in (
-        "drrip", "ship", "ship++", "hawkeye", "glider", "mpppb",
-        "frd", "mustache", "deap",
-    ):
+    for policy in ("drrip", "ship", "ship++", "hawkeye", "glider", "mpppb"):
         assert f"sentinel-{policy}" in names, (
             f"no ddmin-shrunk corpus sentinel for learned policy "
             f"{policy!r} — run `python -m repro.eval conformance corpus seed`"
         )
-
-
-def test_reuse_distance_sentinels_are_small():
-    """The frd-family sentinels must stay ddmin-tight (<= 32 accesses):
-    a fat sentinel means the shrinker regressed or the divergence
-    predicate went flaky."""
-    for policy in ("frd", "mustache", "deap"):
-        matches = [
-            (b, d) for b, d in ENTRIES if b == f"sentinel-{policy}"
-        ]
-        assert matches, f"sentinel-{policy} missing from {CORPUS_DIR}"
-        for benchmark, digest in matches:
-            entry = load_entry(CORPUS_DIR, benchmark, digest)
-            assert entry is not None
-            assert entry.length <= 32, (
-                f"{benchmark} has {entry.length} accesses; expected a "
-                "ddmin-shrunk stream of at most 32"
-            )
 
 
 @pytest.mark.parametrize(
@@ -85,9 +64,28 @@ def test_seeding_is_idempotent(tmp_path):
     first = seed_corpus(tmp_path, length=120)
     second = seed_corpus(tmp_path, length=120)
     assert sorted(p.name for p in first) == sorted(p.name for p in second)
-    # One sentinel per generator family plus one per learned policy
-    # (six fast-path + the three reference-only reuse-distance names).
-    assert len(list_entries(tmp_path)) == len(GENERATOR_FAMILIES) + 9
+    # One sentinel per generator family plus one per learned policy.
+    assert len(list_entries(tmp_path)) == len(GENERATOR_FAMILIES) + 6
+
+
+def test_policy_sentinel_reseed_reproduces_the_checked_in_corpus(tmp_path):
+    """A reseed writes exactly the checked-in ``sentinel-<policy>``
+    keys and streams: each policy's seed scan is fixed on its own, so
+    adding or removing a policy leaves the other sentinels byte-stable."""
+    import numpy as np
+
+    seed_policy_sentinels(tmp_path)
+    checked_in = sorted(
+        (name, digest)
+        for name, digest in ENTRIES
+        if load_entry(CORPUS_DIR, name, digest).kind == "policy-sentinel"
+    )
+    assert sorted(list_entries(tmp_path)) == checked_in
+    for name, digest in checked_in:
+        ours = load_entry(tmp_path, name, digest).stream
+        theirs = load_entry(CORPUS_DIR, name, digest).stream
+        for column in ("pcs", "addresses", "kinds", "cores"):
+            assert np.array_equal(getattr(ours, column), getattr(theirs, column))
 
 
 def test_roundtrip_preserves_stream_and_geometry(tmp_path):

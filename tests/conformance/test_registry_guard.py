@@ -33,15 +33,11 @@ def test_registered_policy_is_fuzzed_as_reference_only():
         registry._SPECS.pop("custom-registered")
 
 
-def test_reuse_distance_family_is_reference_classified():
-    """The frd family ships without fast kernels: its per-set predictor
-    heads live entirely in hook-level state, so the reference engine
-    (plus invariant checks) is its conformance story."""
-    missing = sorted({"frd", "mustache", "deap"} - set(REFERENCE_ONLY_POLICIES))
-    assert not missing, (
-        f"reuse-distance policies missing from REFERENCE_ONLY_POLICIES: "
-        f"{missing}"
-    )
+def test_sdbp_is_the_only_reference_only_policy():
+    """SDBP is the one built-in policy without a fast kernel; the
+    reference engine (plus invariant checks) is its conformance story.
+    A second name here is a policy that lost or never got its kernel."""
+    assert REFERENCE_ONLY_POLICIES == ("sdbp",)
 
 
 def test_learned_policies_stay_fast_pathed():

@@ -1,4 +1,4 @@
-"""Pinned figure outputs: Figures 4, 9, 10, 11, 12 and 13 at a tiny length.
+"""Pinned figure outputs: every figure and table driver at a tiny length.
 
 Each figure's rows are digested (floats by their exact ``repr``,
 arrays by their bytes) and compared with
@@ -23,10 +23,16 @@ import pytest
 from repro.eval import (
     ArtifactCache,
     ExperimentConfig,
+    anchor_pc_analysis,
     attention_cdf,
+    attention_heatmap,
+    convergence_curves,
     miss_rate_reduction,
+    model_cost_table,
     offline_accuracy,
     online_accuracy,
+    sequence_length_sweep,
+    shuffle_experiment,
     single_core_speedup,
     summarize_by_group,
     summarize_speedups,
@@ -45,6 +51,17 @@ SCALES = (1.0, 5.0)
 # per-core quota.
 MIXES = 2
 QUOTA = 2_000
+# The analysis drivers (Figures 5, 6, 14, 15, Tables 3 and 4) at
+# LSTM_CONFIG size, each cut to the smallest sweep that still runs
+# every code path.
+HEATMAP_BENCHMARK = "mcf"
+HEATMAP_SCALE = 1.0
+HEATMAP_TARGETS = 20
+SHUFFLE_BENCHMARKS = ("mcf", "lbm")
+SWEEP_BENCHMARKS = ("mcf",)
+SWEEP_LENGTHS = (10, 20)
+SWEEP_KS = (1, 2, 3)
+ANCHOR_BENCHMARK = "omnetpp"
 
 PIN_CONFIGS = {
     "fig10": {"trace_length": CONFIG.trace_length, "benchmarks": list(BENCHMARKS)},
@@ -61,6 +78,36 @@ PIN_CONFIGS = {
         "lstm_epochs": LSTM_CONFIG.lstm_epochs,
         "benchmarks": list(LSTM_BENCHMARKS),
         "scales": list(SCALES),
+    },
+    "fig5": {
+        "trace_length": LSTM_CONFIG.trace_length,
+        "lstm_epochs": LSTM_CONFIG.lstm_epochs,
+        "benchmark": HEATMAP_BENCHMARK,
+        "scale": HEATMAP_SCALE,
+        "targets": HEATMAP_TARGETS,
+    },
+    "fig6": {
+        "trace_length": LSTM_CONFIG.trace_length,
+        "lstm_epochs": LSTM_CONFIG.lstm_epochs,
+        "benchmarks": list(SHUFFLE_BENCHMARKS),
+    },
+    "fig14": {
+        "trace_length": LSTM_CONFIG.trace_length,
+        "lstm_epochs": LSTM_CONFIG.lstm_epochs,
+        "benchmarks": list(SWEEP_BENCHMARKS),
+        "lstm_lengths": list(SWEEP_LENGTHS),
+        "linear_ks": list(SWEEP_KS),
+    },
+    "fig15": {
+        "trace_length": LSTM_CONFIG.trace_length,
+        "epochs": LSTM_CONFIG.lstm_epochs,
+        "benchmarks": list(SWEEP_BENCHMARKS),
+    },
+    "table3": {},
+    "table4": {
+        "trace_length": LSTM_CONFIG.trace_length,
+        "lstm_epochs": LSTM_CONFIG.lstm_epochs,
+        "benchmark": ANCHOR_BENCHMARK,
     },
 }
 
@@ -126,9 +173,47 @@ def lstm_digests() -> dict[str, dict[str, str]]:
     return pins
 
 
+def analysis_digests() -> dict[str, dict[str, str]]:
+    """Figures 5, 6, 14, 15 and Tables 3 and 4 on one artifact cache.
+
+    Fig. 6 keeps its average row; the sweeps (Figs. 14 and 15) are
+    averages already, one row per x value."""
+    cache = ArtifactCache(LSTM_CONFIG)
+    heatmap = attention_heatmap(
+        LSTM_CONFIG, HEATMAP_BENCHMARK, scale=HEATMAP_SCALE,
+        num_targets=HEATMAP_TARGETS, cache=cache,
+    )
+    fig6 = shuffle_experiment(LSTM_CONFIG, SHUFFLE_BENCHMARKS, cache=cache)
+    fig14 = sequence_length_sweep(
+        LSTM_CONFIG, SWEEP_BENCHMARKS, lstm_lengths=SWEEP_LENGTHS,
+        linear_ks=SWEEP_KS, cache=cache,
+    )
+    fig15 = convergence_curves(
+        LSTM_CONFIG, SWEEP_BENCHMARKS, epochs=LSTM_CONFIG.lstm_epochs, cache=cache
+    )
+    table4 = anchor_pc_analysis(LSTM_CONFIG, ANCHOR_BENCHMARK, cache=cache)
+    return {
+        "fig5": {
+            f"{HEATMAP_BENCHMARK}:f={HEATMAP_SCALE}": row_digest(asdict(heatmap))
+        },
+        "fig6": {r.benchmark: row_digest(asdict(r)) for r in fig6},
+        "fig14": {f"history={r['history']}": row_digest(r) for r in fig14.rows()},
+        "fig15": {
+            f"iteration={r['iteration']}": row_digest(r) for r in fig15.rows()
+        },
+        "table3": {r.model: row_digest(asdict(r)) for r in model_cost_table()},
+        "table4": {hex(r.target_pc): row_digest(asdict(r)) for r in table4},
+    }
+
+
 def figure_digests() -> dict[str, dict[str, str]]:
     cache = ArtifactCache(CONFIG)
-    return {**replay_digests(cache), **timing_digests(cache), **lstm_digests()}
+    return {
+        **replay_digests(cache),
+        **timing_digests(cache),
+        **lstm_digests(),
+        **analysis_digests(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +236,11 @@ def lstm_pins():
     return lstm_digests()
 
 
+@pytest.fixture(scope="module")
+def analysis_pins():
+    return analysis_digests()
+
+
 def _assert_pinned(figure: str, digests: dict[str, dict[str, str]]) -> None:
     pinned = json.loads((PINS / f"{figure}.json").read_text())
     assert pinned["config"] == PIN_CONFIGS[figure]
@@ -170,6 +260,13 @@ def test_timing_figure_rows_match_pins(timing_pins, figure):
 @pytest.mark.parametrize("figure", ["fig9", "fig4"])
 def test_lstm_figure_rows_match_pins(lstm_pins, figure):
     _assert_pinned(figure, lstm_pins)
+
+
+@pytest.mark.parametrize(
+    "figure", ["fig5", "fig6", "fig14", "fig15", "table3", "table4"]
+)
+def test_analysis_figure_rows_match_pins(analysis_pins, figure):
+    _assert_pinned(figure, analysis_pins)
 
 
 def test_array_fields_digest_by_bytes():

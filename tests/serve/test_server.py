@@ -35,14 +35,15 @@ def test_decisions_and_request_id_matching(make_server, make_client):
         assert responses[rid]["shard"] == server.route((i % 10) * 64)
 
 
-@pytest.mark.parametrize("policy", ["lru", "frd", "mustache", "deap"])
+@pytest.mark.parametrize("policy", ["lru", "mru", "srrip"])
 def test_decisions_match_a_monolithic_simulation(make_server, make_client, policy):
     """Set-sharding is exact: per-access hit/miss equals one big cache.
 
-    The learned reuse-distance family (frd/mustache/deap) keeps all
-    state per set precisely so this holds — a shard sees only its own
-    sets' accesses, and that must be enough to reproduce every decision
-    (including deap's admission bypasses) bit-for-bit.
+    It holds for a policy that keeps all of its state per set: a shard
+    sees only its own sets' accesses, and that must be enough to
+    reproduce every decision bit-for-bit.  (A policy whose RNG or
+    predictor is shared across sets, such as random or brrip, diverges
+    by design.)
     """
     server = make_server(policy=policy, shards=2, cache_sets=16, cache_ways=2)
     client = make_client(server)
@@ -79,24 +80,6 @@ def test_decisions_match_a_monolithic_simulation(make_server, make_client, polic
                 )
             )
     assert mismatches == []
-
-
-def test_frd_predictions_surface_reuse_buckets(make_server, make_client):
-    """The decision endpoints expose the frd family's reuse-distance
-    head: every access/predict response carries a bucketed prediction."""
-    server = make_server(policy="frd", shards=2, cache_sets=16, cache_ways=2)
-    client = make_client(server)
-    for i in range(20):
-        response = client.call(
-            id=f"f{i}", kind="access", pc=i % 3, address=(i % 11) * 64
-        )
-        prediction = response["prediction"]
-        assert prediction is not None
-        assert isinstance(prediction["friendly"], bool)
-        assert 0 <= prediction["bucket"] < 8
-        assert prediction["distance"] >= 1
-    probe = client.call(id="probe", kind="predict", pc=1, address=64)
-    assert probe["ok"] and "bucket" in probe["prediction"]
 
 
 def test_predict_ping_stats_and_bad_requests(make_server, make_client):
