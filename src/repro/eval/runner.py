@@ -4,9 +4,12 @@ Every table/figure experiment draws from the same pipeline:
 
     trace -> (L1/L2 filter) -> LLC stream -> {policy replay | Belady labels}
 
-Streams, labelled traces and policy replays are cached per (benchmark,
-config) so a full benchmark run touches each expensive stage once.
-Replays are kept in memory only.
+:class:`ArtifactCache` holds every stage's artifacts in one memo keyed
+by ``(stage, *key)``, so a full benchmark run touches each expensive
+stage once.  An attached disk store keeps only the ``llc_stream`` and
+``labelled`` stages (``_STORED_STAGES``), through one dataclass codec;
+a stored entry that lacks a field of its stage's type reads as a miss
+and is rebuilt.  Replays and quota streams are kept in memory only.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -102,67 +105,33 @@ QUICK = ExperimentConfig(
 DEFAULT = ExperimentConfig()
 
 
-# -- artifact (de)serialisation for the disk store ---------------------------
+# -- the disk store's stages and their one codec ----------------------------
+
+#: The stages the disk store keeps, each keyed by benchmark alone, and
+#: the dataclass each one holds; every other stage of
+#: :class:`ArtifactCache` lives in memory only.
+_STORED_STAGES: dict[str, type] = {"llc_stream": LLCStream, "labelled": LabelledTrace}
 
 
-def _stream_to_arrays(stream: LLCStream) -> tuple[dict, dict]:
-    arrays = {
-        "pcs": stream.pcs,
-        "addresses": stream.addresses,
-        "kinds": stream.kinds,
-        "cores": stream.cores,
-        "levels": stream.levels,
-    }
-    meta = {
-        "name": stream.name,
-        "line_size": stream.line_size,
-        "source_accesses": stream.source_accesses,
-        "source_instructions": stream.source_instructions,
-        "l1_hits": stream.l1_hits,
-        "l2_hits": stream.l2_hits,
-        "metadata": stream.metadata,
-    }
+def _encode(artifact) -> tuple[dict, dict]:
+    """A dataclass's ndarray fields (the store's arrays) and the rest
+    (its metadata)."""
+    arrays, meta = {}, {}
+    for f in fields(artifact):
+        value = getattr(artifact, f.name)
+        (arrays if isinstance(value, np.ndarray) else meta)[f.name] = value
     return arrays, meta
 
 
-def _stream_from_arrays(arrays: dict, meta: dict) -> LLCStream | None:
-    """Rebuild a stored stream; None (a miss, so the caller regenerates)
-    for an entry written before streams carried ``levels``."""
-    if "levels" not in arrays:
+def _decode(cls: type, arrays: dict, meta: dict):
+    """Rebuild a stored ``cls``; None (a miss, so the caller regenerates
+    and rewrites it) for an entry that lacks any of its fields, such as
+    one written before streams carried ``levels``."""
+    values = {**meta, **arrays}
+    names = [f.name for f in fields(cls)]
+    if any(name not in values for name in names):
         return None
-    return LLCStream(
-        name=meta["name"],
-        pcs=arrays["pcs"],
-        addresses=arrays["addresses"],
-        kinds=arrays["kinds"],
-        cores=arrays["cores"],
-        line_size=int(meta["line_size"]),
-        source_accesses=int(meta["source_accesses"]),
-        source_instructions=int(meta["source_instructions"]),
-        l1_hits=int(meta["l1_hits"]),
-        l2_hits=int(meta["l2_hits"]),
-        metadata=meta.get("metadata", {}),
-        levels=arrays["levels"],
-    )
-
-
-def _labelled_to_arrays(labelled: LabelledTrace) -> tuple[dict, dict]:
-    arrays = {
-        "pcs": labelled.pcs,
-        "labels": labelled.labels,
-        "vocabulary": labelled.vocabulary,
-    }
-    return arrays, {"name": labelled.name, "metadata": labelled.metadata}
-
-
-def _labelled_from_arrays(arrays: dict, meta: dict) -> LabelledTrace:
-    return LabelledTrace(
-        name=meta["name"],
-        pcs=arrays["pcs"].astype(np.int32),
-        labels=arrays["labels"].astype(bool),
-        vocabulary=arrays["vocabulary"],
-        metadata=meta.get("metadata", {}),
-    )
+    return cls(**{name: values[name] for name in names})
 
 
 def _stream_head(stream: LLCStream, head: Trace) -> LLCStream:
@@ -203,15 +172,20 @@ class LLCReplay:
 
 
 class ArtifactCache:
-    """Two-tier cache of traces, LLC streams, Belady labels and replays.
+    """Two-tier memo of LLC streams, Belady labels, policy replays and
+    quota streams.
 
-    Tier 1 is the original per-process dict; tier 2 (optional) is a
-    crash-safe, checksummed :class:`~repro.robust.store.ArtifactStore`
-    on disk, keyed by ``(benchmark, stage, config.digest())``.  With a
+    Tier 1 is one per-process dict keyed by ``(stage, *key)``; tier 2
+    (optional) is a crash-safe, checksummed
+    :class:`~repro.robust.store.ArtifactStore` on disk, keyed by
+    ``(benchmark, stage, config.digest())``, that keeps only the stages
+    in ``_STORED_STAGES`` (``llc_stream`` and ``labelled``).  With a
     store attached, a rerun — or a resumed run after a crash — reloads
     streams and labels instead of recomputing them; corrupt entries are
-    quarantined by the store and regenerated transparently here.
-    Policy replays (:meth:`replay`) live in tier 1 only.
+    quarantined by the store, and entries that lack a field of their
+    stage's type (an older layout) read as misses, so both are
+    regenerated and rewritten transparently here.  Replays and quota
+    streams live in tier 1 only.
     """
 
     def __init__(
@@ -225,10 +199,7 @@ class ArtifactCache:
 
             store = ArtifactStore(store)
         self.store = store
-        self._streams: dict[str, LLCStream] = {}
-        self._labelled: dict[str, LabelledTrace] = {}
-        self._replays: dict[tuple[str, str], LLCReplay] = {}
-        self._quota_streams: dict[tuple, LLCStream] = {}
+        self._memo: dict[tuple, object] = {}
 
     def __getstate__(self) -> dict:
         # A pool worker gets (config, store root) and starts with an empty
@@ -239,6 +210,40 @@ class ArtifactCache:
     def __setstate__(self, state: dict) -> None:
         self.__init__(state["config"], store=state["store"])
 
+    def _memoized(self, stage: str, key: tuple, compute):
+        """The ``(stage, *key)`` artifact: held in memory, else read from
+        the store, else built by ``compute()`` once (and stored)."""
+        held = self._held(stage, key)
+        if held is not None:
+            return held
+        if self.store is not None and stage in _STORED_STAGES:
+            digest = self.config.digest()
+            # Cross-process dedup: when another worker is already building
+            # this artifact, wait for its entry instead of recomputing.
+            with self.store.single_flight(key[0], stage, digest) as owner:
+                value = None if owner else self._held(stage, key)
+                if value is not None:
+                    return value
+                value = compute()
+                self.store.put(key[0], stage, digest, *_encode(value))
+        else:
+            value = compute()
+        self._memo[(stage, *key)] = value
+        return value
+
+    def _held(self, stage: str, key: tuple):
+        """The artifact if memory or the store already holds it (kept in
+        memory from then on); computes nothing."""
+        memo_key = (stage, *key)
+        stored = self.store is not None and stage in _STORED_STAGES
+        if memo_key not in self._memo and stored:
+            cached = self.store.get(key[0], stage, self.config.digest())
+            if cached is not None:
+                value = _decode(_STORED_STAGES[stage], *cached)
+                if value is not None:
+                    self._memo[memo_key] = value
+        return self._memo.get(memo_key)
+
     def trace(self, benchmark: str) -> Trace:
         return get_trace(
             benchmark,
@@ -248,44 +253,13 @@ class ArtifactCache:
         )
 
     def llc_stream(self, benchmark: str) -> LLCStream:
-        stream = self._held_stream(benchmark)
-        if stream is not None:
-            return stream
-        if self.store is None:
-            stream = filter_to_llc_stream(
+        return self._memoized(
+            "llc_stream",
+            (benchmark,),
+            lambda: filter_to_llc_stream(
                 self.trace(benchmark), self.config.hierarchy()
-            )
-        else:
-            digest = self.config.digest()
-            # Cross-process dedup: when another worker is already filtering
-            # this stream, wait for its artifact instead of recomputing.
-            with self.store.single_flight(benchmark, "llc_stream", digest) as owner:
-                if not owner:
-                    stream = self._stored_stream(benchmark, digest)
-                    if stream is not None:
-                        return stream
-                stream = filter_to_llc_stream(
-                    self.trace(benchmark), self.config.hierarchy()
-                )
-                arrays, meta = _stream_to_arrays(stream)
-                self.store.put(benchmark, "llc_stream", digest, arrays, meta)
-        self._streams[benchmark] = stream
-        return stream
-
-    def _held_stream(self, benchmark: str) -> LLCStream | None:
-        """The benchmark's stream if memory or the store already holds it."""
-        if benchmark in self._streams:
-            return self._streams[benchmark]
-        if self.store is not None:
-            return self._stored_stream(benchmark, self.config.digest())
-        return None
-
-    def _stored_stream(self, benchmark: str, digest: str) -> LLCStream | None:
-        cached = self.store.get(benchmark, "llc_stream", digest)
-        stream = _stream_from_arrays(*cached) if cached is not None else None
-        if stream is not None:
-            self._streams[benchmark] = stream
-        return stream
+            ),
+        )
 
     def quota_stream(
         self, benchmark: str, quota: int, hierarchy: HierarchyConfig
@@ -304,56 +278,33 @@ class ArtifactCache:
         trace = self.trace(benchmark)
         own = self.config.hierarchy()
         if quota <= len(trace) and (hierarchy.l1, hierarchy.l2) == (own.l1, own.l2):
-            stream = self._held_stream(benchmark)
+            stream = self._held("llc_stream", (benchmark,))
             if stream is not None:
                 return _stream_head(stream, trace[:quota])
-        key = (benchmark, quota, hierarchy.l1, hierarchy.l2)
-        if key not in self._quota_streams:
-            self._quota_streams[key] = filter_to_llc_stream(
-                quota_view(trace, quota), hierarchy
-            )
-        return self._quota_streams[key]
+        return self._memoized(
+            "quota_stream",
+            (benchmark, quota, hierarchy.l1, hierarchy.l2),
+            lambda: filter_to_llc_stream(quota_view(trace, quota), hierarchy),
+        )
 
     def labelled(self, benchmark: str) -> LabelledTrace:
         """Belady-labelled LLC stream of a benchmark (offline training data)."""
-        if benchmark in self._labelled:
-            return self._labelled[benchmark]
-        digest = self.config.digest()
-        if self.store is not None:
-            cached = self.store.get(benchmark, "labelled", digest)
-            if cached is not None:
-                self._labelled[benchmark] = _labelled_from_arrays(*cached)
-                return self._labelled[benchmark]
-            with self.store.single_flight(benchmark, "labelled", digest) as owner:
-                if not owner:
-                    cached = self.store.get(benchmark, "labelled", digest)
-                    if cached is not None:
-                        self._labelled[benchmark] = _labelled_from_arrays(*cached)
-                        return self._labelled[benchmark]
-                labelled = self._label(benchmark)
-                arrays, meta = _labelled_to_arrays(labelled)
-                self.store.put(benchmark, "labelled", digest, arrays, meta)
-            self._labelled[benchmark] = labelled
-            return labelled
-        labelled = self._label(benchmark)
-        self._labelled[benchmark] = labelled
-        return labelled
+        return self._memoized("labelled", (benchmark,), lambda: self._label(benchmark))
 
     def replay(self, benchmark: str, policy_name: str) -> LLCReplay:
         """A fresh ``policy_name`` instance replayed on the benchmark's LLC
         stream, once per cache: Figures 10 and 11 share the run.  Only the
         stats and online accuracy are kept, never the trained instance;
         callers must not mutate the returned stats."""
-        key = (benchmark, policy_name)
-        if key not in self._replays:
+
+        def run() -> LLCReplay:
             policy = make_policy(policy_name)
             stats = simulate_llc(
                 self.llc_stream(benchmark), policy, self.config.hierarchy()
             )
-            self._replays[key] = LLCReplay(
-                stats, getattr(policy, "online_accuracy", None)
-            )
-        return self._replays[key]
+            return LLCReplay(stats, getattr(policy, "online_accuracy", None))
+
+        return self._memoized("replay", (benchmark, policy_name), run)
 
     def _label(self, benchmark: str) -> LabelledTrace:
         stream = self.llc_stream(benchmark)
@@ -372,7 +323,4 @@ class ArtifactCache:
 
     def clear(self) -> None:
         """Drop the in-memory tier (the disk store, if any, is kept)."""
-        self._streams.clear()
-        self._labelled.clear()
-        self._replays.clear()
-        self._quota_streams.clear()
+        self._memo.clear()

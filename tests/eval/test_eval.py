@@ -68,8 +68,13 @@ class TestArtifactCache:
     def test_clear(self):
         c = ArtifactCache(TINY)
         c.llc_stream("astar")
+        c.labelled("astar")
+        c.replay("astar", "lru")
+        c.quota_stream("astar", TINY.trace_length + 1, TINY.hierarchy())
+        stages = {key[0] for key in c._memo}
+        assert stages == {"llc_stream", "labelled", "replay", "quota_stream"}
         c.clear()
-        assert not c._streams
+        assert not c._memo
 
 
 class TestMissRate:

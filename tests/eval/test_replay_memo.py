@@ -88,11 +88,20 @@ def test_second_fig11_replays_only_min(replays):
     assert replays == Counter(belady=len(BENCHMARKS))
 
 
+def _fill_every_stage(cache: ArtifactCache) -> None:
+    """Replays (through Figure 10) and the cache's three other stages."""
+    online_accuracy(CONFIG, BENCHMARKS, cache=cache)
+    cache.labelled("mcf")
+    cache.quota_stream("mcf", CONFIG.trace_length + 1, CONFIG.hierarchy())
+    stages = {key[0] for key in cache._memo}
+    assert stages == {"llc_stream", "labelled", "replay", "quota_stream"}
+
+
 def test_clear_empties_the_memo(replays):
     cache = ArtifactCache(CONFIG)
-    online_accuracy(CONFIG, BENCHMARKS, cache=cache)
+    _fill_every_stage(cache)
     cache.clear()
-    assert not cache._replays
+    assert not cache._memo
     replays.clear()
     online_accuracy(CONFIG, BENCHMARKS, cache=cache)
     assert replays == Counter(hawkeye=len(BENCHMARKS), glider=len(BENCHMARKS))
@@ -100,10 +109,9 @@ def test_clear_empties_the_memo(replays):
 
 def test_unpickled_cache_starts_with_an_empty_memo(replays):
     cache = ArtifactCache(CONFIG)
-    online_accuracy(CONFIG, BENCHMARKS, cache=cache)
-    assert cache._replays
+    _fill_every_stage(cache)
     copy = pickle.loads(pickle.dumps(cache))
-    assert not copy._replays
+    assert not copy._memo
     replays.clear()
     online_accuracy(CONFIG, BENCHMARKS, cache=copy)
     assert replays == Counter(hawkeye=len(BENCHMARKS), glider=len(BENCHMARKS))

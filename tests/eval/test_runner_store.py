@@ -1,6 +1,8 @@
 """Disk-backed ArtifactCache: resume without recompute, no aliasing."""
 
 import pickle
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -54,13 +56,72 @@ def test_stream_entry_without_levels_regenerates(tmp_path):
     the stream is refiltered (levels included) and the entry rewritten."""
     store = ArtifactStore(tmp_path / "store")
     original = ArtifactCache(CFG).llc_stream("mcf")
-    arrays, meta = runner_module._stream_to_arrays(original)
+    arrays, meta = runner_module._encode(original)
     del arrays["levels"]
     store.put("mcf", "llc_stream", CFG.digest(), arrays, meta)
 
     regenerated = ArtifactCache(CFG, store=store).llc_stream("mcf")
     assert np.array_equal(regenerated.levels, original.levels)
     assert "levels" in store.get("mcf", "llc_stream", CFG.digest())[0]
+
+
+def test_labelled_entry_missing_a_field_regenerates(tmp_path):
+    """A labelled entry that lacks a field is a miss too: the stream is
+    relabelled and the entry rewritten, rather than the run crashing."""
+    store = ArtifactStore(tmp_path / "store")
+    original = ArtifactCache(CFG).labelled("mcf")
+    arrays = {"pcs": original.pcs, "labels": original.labels}
+    meta = {"name": original.name, "metadata": original.metadata}
+    store.put("mcf", "labelled", CFG.digest(), arrays, meta)
+
+    regenerated = ArtifactCache(CFG, store=store).labelled("mcf")
+    assert np.array_equal(regenerated.vocabulary, original.vocabulary)
+    assert np.array_equal(regenerated.labels, original.labels)
+    assert "vocabulary" in store.get("mcf", "labelled", CFG.digest())[0]
+
+
+@pytest.mark.parametrize("owner_stored", [True, False], ids=["stored", "missing"])
+@pytest.mark.parametrize(
+    "stage, compute",
+    [("llc_stream", "filter_to_llc_stream"), ("labelled", "label_trace")],
+)
+def test_single_flight_follower_rereads_then_computes_once(
+    tmp_path, monkeypatch, stage, compute, owner_stored
+):
+    """A process that waited behind another's fill lock takes the entry
+    the owner stored without computing anything; when the owner left
+    nothing, it computes the artifact once and stores it itself."""
+    expected = getattr(ArtifactCache(CFG), stage)("mcf")
+    store = ArtifactStore(tmp_path / "store")
+
+    @contextmanager
+    def follow(benchmark, flight_stage, digest):
+        if owner_stored:
+            store.put(benchmark, stage, digest, *runner_module._encode(expected))
+        yield False
+
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(runner_module, name)
+
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(store, "single_flight", follow)
+    for name in ("filter_to_llc_stream", "label_trace"):
+        monkeypatch.setattr(runner_module, name, counting(name))
+    artifact = getattr(ArtifactCache(CFG, store=store), stage)("mcf")
+
+    assert np.array_equal(artifact.pcs, expected.pcs)
+    if owner_stored:
+        assert not calls and store.stats.writes == 1  # the owner's put only
+    else:
+        assert calls[compute] == 1
+        assert store.has("mcf", stage, CFG.digest())
 
 
 def test_corrupt_store_entry_regenerates_transparently(tmp_path):
@@ -113,13 +174,18 @@ def test_cache_clear_keeps_disk_tier(tmp_path):
 def test_pickle_ships_config_and_store_root_only(tmp_path):
     cache = ArtifactCache(CFG, store=tmp_path / "store")
     stream = cache.llc_stream("mcf")
+    cache.labelled("mcf")
+    cache.replay("mcf", "lru")
+    cache.quota_stream("mcf", CFG.trace_length + 1, CFG.hierarchy())
+    stages = {key[0] for key in cache._memo}
+    assert stages == {"llc_stream", "labelled", "replay", "quota_stream"}
     payload = pickle.dumps(cache)
-    # Pool tasks carry the cache; the in-memory streams must stay behind.
+    # Pool tasks carry the cache; every in-memory artifact must stay behind.
     assert len(payload) < 1024
     clone = pickle.loads(payload)
     assert clone.config == CFG
     assert clone.store.root == cache.store.root
-    assert not clone._streams and not clone._labelled
+    assert not clone._memo
     assert np.array_equal(clone.llc_stream("mcf").pcs, stream.pcs)
     assert clone.store.stats.hits == 1  # read back from disk, not recomputed
 
