@@ -1534,8 +1534,9 @@ _HISTORY_MEMO_CAP = 4096
 #: Static feature sources: the value a weight table is indexed by, as a
 #: function of the access's uint64 ``pcs``/``addresses`` columns.  The
 #: history sources (``("hist", i)``: the i-th most recent demand PC, 0
-#: when absent; ``("fold", n)``: ``mpppb._fold`` of the first n) depend
-#: on live state and are computed per access.
+#: when absent; ``("fold", n)``: ``perceptron._fold`` of the first n)
+#: depend on live state and are computed per access; the reference reads
+#: every source through ``perceptron.feature_value``.
 _STATIC_SOURCES = {
     "pc": lambda pcs, addresses: pcs,
     "page": lambda pcs, addresses: addresses >> np.uint64(12),
@@ -1557,25 +1558,13 @@ def _mix_column(values: np.ndarray, salt: int, bits: int) -> np.ndarray:
 class _PerceptronKernel(_StreamKernel):
     """Hashed-perceptron fast kernel for MPPPB and Perceptron.
 
-    The two policies share an RRIP substrate, an LRU sampler (the tags
-    of ``sampler_assoc`` recent blocks per sampled set) that trains
-    per-feature weight tables with the θ-gated perceptron rule,
-    and a per-access weight sum ``yout``; they differ only in their
+    It runs the description a
+    :class:`~repro.policies.perceptron._HashedPerceptronPolicy` holds:
     ``features`` (each a ``(source, salt)`` pair, see
-    :data:`_STATIC_SOURCES`), weight clamps, θ and the thresholds that
-    map ``yout`` to a bypass, a hit promotion and a fill RRPV:
-
-    * a demand miss to a full set bypasses when ``yout > bypass_above``
-      (None: never);
-    * a demand hit sets RRPV 0 when ``yout <= promote_at_most``, keeps
-      ``min(max_rrpv - 1, rrpv)`` below ``hold_below`` and goes distant
-      otherwise;
-    * a demand fill goes to ``max_rrpv``, ``max_rrpv - 1`` or
-      ``max_rrpv // 2`` by the first of the three ``fill_cuts`` that
-      ``yout`` exceeds, and to 0 when it exceeds none.
-
-    Writebacks neither train nor predict: a writeback hit keeps its
-    RRPV and a writeback fill goes distant.
+    :data:`_STATIC_SOURCES`), weight clamps, θ and the four decision
+    fields (``bypass_above``, ``promote_at_most``, ``hold_below``,
+    ``fill_cuts``) that class documents — on the same RRIP substrate,
+    LRU training sampler and θ-gated perceptron rule.
 
     The weight tables are one flat ``int`` list (feature ``f`` at offset
     ``f << table_bits``) and an access's context is the tuple of its
@@ -1670,8 +1659,8 @@ class _PerceptronKernel(_StreamKernel):
         """Flat indices of the history features for ``history``.
 
         A history position reads the PC there (0 when absent), hashed
-        once per distinct PC; the folds (``mpppb._fold`` of the first n
-        PCs) share one running pass over the history.
+        once per distinct PC; the folds (``perceptron._fold`` of the
+        first n PCs) share one running pass over the history.
         """
         bits = self.table_bits
         rows = self.pc_rows

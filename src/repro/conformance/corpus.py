@@ -248,10 +248,11 @@ def seed_corpus(corpus_dir: str | Path | None = None, length: int = 400) -> list
 #: Generator family most likely to exercise each learned policy's
 #: decision machinery (duelling sets for DRRIP, signature reuse skew
 #: for SHiP, scan-resistance for SHiP++/Hawkeye/Glider, dead-on-admission
-#: bypass for MPPPB), and the policy's seed-scan index: its seeds start
-#: at ``200 + index``.  The index is fixed per policy, never derived
-#: from its position, so adding or removing a name leaves every other
-#: checked-in sentinel byte-stable; a new name takes an unused index.
+#: bypass and placement for MPPPB and Perceptron), and the policy's
+#: seed-scan index: its seeds start at ``200 + index``.  The index is
+#: fixed per policy, never derived from its position, so adding or
+#: removing a name leaves every other checked-in sentinel byte-stable;
+#: a new name takes an unused index.
 _POLICY_SENTINEL_FAMILY = {
     "drrip": ("set-camp", 0),
     "ship": ("zipf", 1),
@@ -259,6 +260,7 @@ _POLICY_SENTINEL_FAMILY = {
     "hawkeye": ("pointer-chase", 3),
     "glider": ("scan", 4),
     "mpppb": ("thrash", 8),
+    "perceptron": ("thrash", 9),
 }
 
 

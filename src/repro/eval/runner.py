@@ -18,6 +18,7 @@ import copy
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -237,11 +238,12 @@ class ArtifactCache:
         memo_key = (stage, *key)
         stored = self.store is not None and stage in _STORED_STAGES
         if memo_key not in self._memo and stored:
-            cached = self.store.get(key[0], stage, self.config.digest())
-            if cached is not None:
-                value = _decode(_STORED_STAGES[stage], *cached)
-                if value is not None:
-                    self._memo[memo_key] = value
+            value = self.store.get(
+                key[0], stage, self.config.digest(),
+                decode=partial(_decode, _STORED_STAGES[stage]),
+            )
+            if value is not None:
+                self._memo[memo_key] = value
         return self._memo.get(memo_key)
 
     def trace(self, benchmark: str) -> Trace:

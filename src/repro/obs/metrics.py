@@ -572,20 +572,18 @@ def live_prometheus(run_id: str | None = None) -> str:
 
 def save_snapshot(path: str | os.PathLike, snapshot: dict) -> None:
     """Atomically write a snapshot (``*.prom`` -> Prometheus, else JSON)."""
+    from ..traces.io import atomic_replace
+
     path = os.fspath(path)
     if path.endswith(".prom"):
         payload = to_prometheus(snapshot)
     else:
         payload = json.dumps(snapshot, indent=1, sort_keys=False)
-    tmp = f"{path}.tmp-{os.getpid()}"
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    with atomic_replace(path) as tmp:
+        tmp.write_text(payload, encoding="utf-8")
 
 
 def load_snapshot(path: str | os.PathLike) -> dict:

@@ -216,6 +216,8 @@ def export_chrome(jsonl_path, out_path: str | os.PathLike) -> int:
     cross-process view in which request spans nest under the worker
     spans that executed them.  Returns the number of events exported.
     """
+    from ..traces.io import atomic_replace
+
     if isinstance(jsonl_path, (str, os.PathLike)):
         paths = [jsonl_path]
     else:
@@ -227,7 +229,6 @@ def export_chrome(jsonl_path, out_path: str | os.PathLike) -> int:
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_path.with_suffix(out_path.suffix + f".tmp-{os.getpid()}")
-    tmp.write_text(json.dumps(payload), encoding="utf-8")
-    os.replace(tmp, out_path)
+    with atomic_replace(out_path) as tmp:
+        tmp.write_text(json.dumps(payload), encoding="utf-8")
     return len(events)

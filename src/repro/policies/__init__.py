@@ -4,7 +4,7 @@ from ..cache.policy import BYPASS, ReplacementPolicy
 from .belady_policy import BeladyPolicy
 from .hawkeye import HawkeyePolicy, HawkeyePredictor
 from .lru import LRUPolicy, MRUPolicy
-from .mpppb import MPPPBPolicy, MultiperspectivePredictor
+from .mpppb import MPPPBPolicy
 from .perceptron import PerceptronPolicy, PerceptronReusePredictor
 from .random_policy import RandomPolicy
 from .registry import (
@@ -28,7 +28,6 @@ __all__ = [
     "LRUPolicy",
     "MPPPBPolicy",
     "MRUPolicy",
-    "MultiperspectivePredictor",
     "PAPER_POLICIES",
     "PerceptronPolicy",
     "PerceptronReusePredictor",

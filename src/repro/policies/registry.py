@@ -77,28 +77,12 @@ def _glider_kernel(p) -> tuple[str, dict]:
     }
 
 
-#: Where each MPPPB feature's table index comes from (the
-#: ``repro.cache.fastpolicies`` perceptron kernel's feature sources):
-#: an access column, the i-th most recent demand PC, or the fold of the
-#: first n.  These mirror ``repro.policies.mpppb``'s extractors.
-_MPPPB_SOURCES = {
-    "pc": "pc",
-    "pc_hist_1": ("hist", 0),
-    "pc_hist_2": ("hist", 1),
-    "pc_hist_4": ("fold", 4),
-    "pc_hist_8": ("fold", 8),
-    "pc_xor_page": "pc^page",
-    "page": "page",
-    "tag_bits": "tag16",
-    "offset": "offset6",
-}
-
-
-def _predictor_params(p) -> dict:
-    """The perceptron-kernel parameters MPPPB and Perceptron share."""
+def _perceptron_kernel(p) -> tuple[str, dict]:
+    # MPPPB and Perceptron: the kernel reads the instance's description.
     pred = p.predictor
-    return {
-        "table_bits": (len(pred.features[0].weights) - 1).bit_length(),
+    return "perceptron", {
+        "features": tuple((f.source, f.salt) for f in pred.features),
+        "table_bits": pred.table_bits,
         "theta": pred.theta,
         "weight_min": pred.weight_min,
         "weight_max": pred.weight_max,
@@ -106,39 +90,10 @@ def _predictor_params(p) -> dict:
         "history_length": p.history.maxlen,
         "num_sampler_sets": p.num_sampler_sets,
         "sampler_assoc": p.sampler_assoc,
-    }
-
-
-def _mpppb_kernel(p) -> tuple[str, dict]:
-    # MPPPBPolicy's graded promotion (on_hit) and placement (on_fill).
-    dead = p.dead_threshold
-    return "perceptron", {
-        "features": tuple(
-            (_MPPPB_SOURCES[f.name], f.salt) for f in p.predictor.features
-        ),
-        **_predictor_params(p),
-        "bypass_above": p.bypass_threshold,
-        "promote_at_most": 0,
-        "hold_below": dead,
-        "fill_cuts": (dead, dead // 2, 0),
-    }
-
-
-def _perceptron_kernel(p) -> tuple[str, dict]:
-    # Features: the PC, one per ordered history position, the page.
-    # Every decision is the one "yout > dead_threshold" test.
-    positions = p.predictor.history_length
-    sources = ["pc"] + [("hist", i) for i in range(positions)] + ["page"]
-    dead = p.dead_threshold
-    return "perceptron", {
-        "features": tuple(
-            zip(sources, (f.salt for f in p.predictor.features), strict=True)
-        ),
-        **_predictor_params(p),
-        "bypass_above": dead if p.allow_bypass else None,
-        "promote_at_most": dead,
-        "hold_below": dead + 1,
-        "fill_cuts": (dead, dead, dead),
+        "bypass_above": p.bypass_above,
+        "promote_at_most": p.promote_at_most,
+        "hold_below": p.hold_below,
+        "fill_cuts": p.fill_cuts,
     }
 
 
@@ -179,7 +134,7 @@ _SPECS: dict[str, PolicySpec] = {
     "ship++": PolicySpec(SHiPPlusPlusPolicy, SHiPPlusPlusPolicy, _ship_kernel),
     "sdbp": PolicySpec(SDBPPolicy, SDBPPolicy),
     "perceptron": PolicySpec(PerceptronPolicy, PerceptronPolicy, _perceptron_kernel),
-    "mpppb": PolicySpec(MPPPBPolicy, MPPPBPolicy, _mpppb_kernel),
+    "mpppb": PolicySpec(MPPPBPolicy, MPPPBPolicy, _perceptron_kernel),
     "hawkeye": PolicySpec(
         HawkeyePolicy,
         HawkeyePolicy,

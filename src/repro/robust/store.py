@@ -139,10 +139,11 @@ class ArtifactStore:
         return entry.payload
 
     # -- read ----------------------------------------------------------------
-    def get(
-        self, benchmark: str, stage: str, digest: str
-    ) -> tuple[dict[str, np.ndarray], dict] | None:
-        """Load an artifact, or None on miss/corruption (after quarantine)."""
+    def get(self, benchmark: str, stage: str, digest: str, decode=None):
+        """Load an artifact's ``(arrays, metadata)``, or None on
+        miss/corruption (after quarantine).  With ``decode``, return
+        ``decode(arrays, metadata)``: a None from it rejects an intact
+        entry the caller cannot use (an older layout) as a miss."""
         entry = self._entry(benchmark, stage, digest)
         if not entry.payload.exists():
             self.stats.misses += 1
@@ -171,8 +172,12 @@ class ArtifactStore:
             self._quarantine(entry, reason="undecodable payload")
             self.stats.misses += 1
             return None
+        value = (arrays, metadata) if decode is None else decode(arrays, metadata)
+        if value is None:
+            self.stats.misses += 1
+            return None
         self.stats.hits += 1
-        return arrays, metadata
+        return value
 
     def has(self, benchmark: str, stage: str, digest: str) -> bool:
         entry = self._entry(benchmark, stage, digest)

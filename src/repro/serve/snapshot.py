@@ -7,10 +7,11 @@ pickle their engine (policy + cache) periodically; after a crash the
 replacement worker loads the latest snapshot and resumes from there,
 losing at most one snapshot interval of training.
 
-Writes are crash-safe (temp file + ``os.replace`` + fsync, the
-ArtifactStore discipline) and loads are corruption-tolerant: a torn or
-unpicklable snapshot is quarantined to ``<path>.corrupt`` and the
-worker cold-starts instead of crash-looping on its own state.
+Writes are crash-safe (:func:`~repro.traces.io.atomic_replace`: temp
+file + fsync + ``os.replace``, the ArtifactStore discipline) and loads
+are corruption-tolerant: a torn or unpicklable snapshot is quarantined
+to ``<path>.corrupt`` and the worker cold-starts instead of
+crash-looping on its own state.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import pickle
 import time
 from pathlib import Path
 from typing import Any
+
+from ..traces.io import atomic_replace
 
 __all__ = ["SnapshotStore"]
 
@@ -40,12 +43,8 @@ class SnapshotStore:
             "state": state,
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f"{self.path.name}.tmp-{os.getpid()}")
-        with open(tmp, "wb") as handle:
+        with atomic_replace(self.path) as tmp, open(tmp, "wb") as handle:
             pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
         self.saves += 1
 
     def load(self) -> tuple[Any, dict] | None:

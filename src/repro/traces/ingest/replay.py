@@ -52,8 +52,10 @@ __all__ = ["CHECKPOINT_SCHEMA", "StreamReplayResult", "stream_replay"]
 #: resuming into mismatched state.  v2: the Hawkeye/Glider samplers
 #: count OPT hits and store each sampled access's prediction.  v3:
 #: SRRIP and BRRIP run on the DRRIP kernel.  v4: the L1/L2 filter's sets
-#: and the LRU/MRU kernel's sets are recency-ordered dicts.
-CHECKPOINT_SCHEMA = "repro.traces.ingest/checkpoint-v4"
+#: and the LRU/MRU kernel's sets are recency-ordered dicts.  v5: MPPPB
+#: and Perceptron share one predictor class (reference-engine replays
+#: pickle the policy).
+CHECKPOINT_SCHEMA = "repro.traces.ingest/checkpoint-v5"
 
 _CKPT_STAGE = "ingest-checkpoint"
 
@@ -129,11 +131,7 @@ def _save_checkpoint(store, run_key, cursor, kernel, filt, llc_accesses):
     )
 
 
-def _load_checkpoint(store, run_key):
-    loaded = store.get(run_key, _CKPT_STAGE, "latest")
-    if loaded is None:
-        return None
-    arrays, metadata = loaded
+def _decode_checkpoint(arrays, metadata):
     # Checked before unpickling: an older layout may name classes that
     # no longer exist.
     if metadata.get("schema") != CHECKPOINT_SCHEMA:
@@ -192,7 +190,7 @@ def stream_replay(
     llc_accesses = 0
     kernel = filt = None
     if resume:
-        state = _load_checkpoint(store, run_key)
+        state = store.get(run_key, _CKPT_STAGE, "latest", decode=_decode_checkpoint)
         if state is not None:
             cursor = state["cursor"]
             resumed_from = cursor

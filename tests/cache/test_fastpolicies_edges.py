@@ -20,7 +20,7 @@ from repro.cache.fastsim import make_stream_kernel, reference_replay, replay
 from repro.conformance.generators import CaseSpec, generate_stream, spec_config
 from repro.optgen.sampler import OptGenSampler
 from repro.policies.mpppb import MPPPBPolicy
-from repro.policies.perceptron import PerceptronPolicy, _mix
+from repro.policies.perceptron import PerceptronPolicy, _mix, feature_value
 from repro.policies.rrip import RRPV_KEY, DRRIPPolicy
 from repro.policies.ship import SHiPPlusPlusPolicy, SHiPPolicy, pc_signature
 
@@ -385,10 +385,9 @@ def test_short_history_contexts_match_reference_features(cls):
         pc, address = int(stream.pcs[i]), int(stream.addresses[i])
         size = len(predictor.features[0].weights)
         bits = size.bit_length() - 1
-        if cls is MPPPBPolicy:
-            values = [f.extract(pc, history, address) for f in predictor.features]
-        else:
-            values = predictor._values(pc, history, address)
+        values = [
+            feature_value(f.source, pc, history, address) for f in predictor.features
+        ]
         expected = sorted(
             f * size + _mix(value, feature.salt, bits)
             for f, (feature, value) in enumerate(zip(predictor.features, values))

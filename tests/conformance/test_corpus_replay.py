@@ -40,9 +40,11 @@ def test_corpus_is_shipped_and_covers_every_family():
 def test_corpus_has_a_sentinel_per_learned_policy():
     """Each learned policy is pinned by a ddmin-shrunk sentinel of its
     own (beyond the family sentinels that parity-check every fast-path
-    policy): the six fast-path learned policies."""
+    policy): the seven fast-path learned policies."""
     names = {benchmark for benchmark, _ in ENTRIES}
-    for policy in ("drrip", "ship", "ship++", "hawkeye", "glider", "mpppb"):
+    for policy in (
+        "drrip", "ship", "ship++", "hawkeye", "glider", "mpppb", "perceptron"
+    ):
         assert f"sentinel-{policy}" in names, (
             f"no ddmin-shrunk corpus sentinel for learned policy "
             f"{policy!r} — run `python -m repro.eval conformance corpus seed`"
@@ -65,7 +67,7 @@ def test_seeding_is_idempotent(tmp_path):
     second = seed_corpus(tmp_path, length=120)
     assert sorted(p.name for p in first) == sorted(p.name for p in second)
     # One sentinel per generator family plus one per learned policy.
-    assert len(list_entries(tmp_path)) == len(GENERATOR_FAMILIES) + 6
+    assert len(list_entries(tmp_path)) == len(GENERATOR_FAMILIES) + 7
 
 
 def test_policy_sentinel_reseed_reproduces_the_checked_in_corpus(tmp_path):

@@ -65,6 +65,19 @@ def test_stream_entry_without_levels_regenerates(tmp_path):
     assert "levels" in store.get("mcf", "llc_stream", CFG.digest())[0]
 
 
+def test_rejected_stream_entry_counts_as_a_miss(tmp_path):
+    """An entry of an older layout is read, rejected and rewritten: the
+    store counts it as a miss, not a hit."""
+    original = ArtifactCache(CFG).llc_stream("mcf")
+    arrays, meta = runner_module._encode(original)
+    del arrays["levels"]
+    ArtifactStore(tmp_path / "store").put("mcf", "llc_stream", CFG.digest(), arrays, meta)
+
+    store = ArtifactStore(tmp_path / "store")
+    ArtifactCache(CFG, store=store).llc_stream("mcf")
+    assert (store.stats.hits, store.stats.misses, store.stats.writes) == (0, 1, 1)
+
+
 def test_labelled_entry_missing_a_field_regenerates(tmp_path):
     """A labelled entry that lacks a field is a miss too: the stream is
     relabelled and the entry rewritten, rather than the run crashing."""

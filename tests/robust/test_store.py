@@ -106,3 +106,12 @@ def test_clear_removes_everything(store):
     store.put("b", "s", "d", _arrays(), {})
     assert store.clear() >= 4  # 2 payloads + 2 sidecars
     assert store.get("a", "s", "d") is None
+
+
+def test_entry_the_decoder_rejects_counts_as_a_miss(store):
+    store.put("mcf", "llc_stream", "abc", _arrays(), {"layout": 1})
+    assert store.get("mcf", "llc_stream", "abc", decode=lambda a, m: None) is None
+    assert (store.stats.hits, store.stats.misses) == (0, 1)
+    decoded = store.get("mcf", "llc_stream", "abc", decode=lambda a, m: m["layout"])
+    assert decoded == 1
+    assert (store.stats.hits, store.stats.misses) == (1, 1)
