@@ -18,6 +18,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Sentinel a policy's victim() may return to bypass the cache entirely.
 BYPASS = -1
 
+#: Key under which RRIP-managed policies keep a line's RRPV in its
+#: policy_state (the conformance RRPV-bounds check reads it).
+RRPV_KEY = "rrpv"
+
 
 class ReplacementPolicy:
     """Base class for replacement policies.

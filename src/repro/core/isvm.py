@@ -144,6 +144,7 @@ class ISVMTable:
     ) -> None:
         self.table_bits = table_bits
         self.weight_hash_bits = weight_hash_bits
+        self.initial_threshold = threshold
         self.threshold = threshold
         self.adaptive = adaptive
         self.adapt_interval = adapt_interval
@@ -156,11 +157,6 @@ class ISVMTable:
         self._window_correct = 0
         self._window_total = 0
         self._candidate_scores: dict[int, float] = {}
-        self._candidate_cursor = (
-            THRESHOLD_CANDIDATES.index(threshold)
-            if threshold in THRESHOLD_CANDIDATES
-            else 0
-        )
 
     # -- indexing ------------------------------------------------------------
     def _entry(self, pc: int) -> ISVM:
@@ -247,6 +243,7 @@ class ISVMTable:
             ISVM(1 << self.weight_hash_bits) for _ in range(1 << self.table_bits)
         ]
         self.stats = ISVMTableStats()
+        self.threshold = self.initial_threshold
         self._window_correct = 0
         self._window_total = 0
         self._candidate_scores = {}

@@ -179,7 +179,6 @@ class DecisionRecorder:
         *,
         predicted_friendly: bool | None = None,
         rrpv: int | None = None,
-        pc: int | None = None,
     ) -> None:
         """One eviction decision (any set; join state kept for sampled)."""
         self.evictions += 1
@@ -193,7 +192,7 @@ class DecisionRecorder:
             cell = self._heatmap[set_index] = [0, 0, 0, 0]
         cell[1] += 1
         evicted = self._evicted
-        evicted[line] = (self.seq, predicted_friendly, rrpv, pc)
+        evicted[line] = (self.seq, predicted_friendly, rrpv)
         if len(evicted) > self._evicted_cap:
             # Drop the oldest half by eviction seq; amortized O(1).
             cut = sorted(e[0] for e in evicted.values())[len(evicted) // 2]

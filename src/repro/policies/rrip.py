@@ -17,10 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cache.block import CacheLine, CacheRequest
-from ..cache.policy import ReplacementPolicy
-
-#: Key under which RRIP-family policies keep the RRPV in policy_state.
-RRPV_KEY = "rrpv"
+from ..cache.policy import RRPV_KEY, ReplacementPolicy
 
 
 def rrip_victim(ways: Sequence[CacheLine], max_rrpv: int) -> int:

@@ -54,8 +54,9 @@ __all__ = ["CHECKPOINT_SCHEMA", "StreamReplayResult", "stream_replay"]
 #: SRRIP and BRRIP run on the DRRIP kernel.  v4: the L1/L2 filter's sets
 #: and the LRU/MRU kernel's sets are recency-ordered dicts.  v5: MPPPB
 #: and Perceptron share one predictor class (reference-engine replays
-#: pickle the policy).
-CHECKPOINT_SCHEMA = "repro.traces.ingest/checkpoint-v5"
+#: pickle the policy).  v6: Hawkeye and Glider share one policy class
+#: (plain sampled contexts, RRPVs under ``rrip.RRPV_KEY``).
+CHECKPOINT_SCHEMA = "repro.traces.ingest/checkpoint-v6"
 
 _CKPT_STAGE = "ingest-checkpoint"
 

@@ -159,8 +159,17 @@ _INSTANCE_CASES = {
     "ship++": lambda: make_policy("ship++"),
     "hawkeye": lambda: make_policy("hawkeye"),
     "hawkeye-window32": lambda: make_policy("hawkeye", window_factor=32),
+    "hawkeye-bits8-sampled4": lambda: HawkeyePolicy(table_bits=8, num_sampled_sets=4),
     "glider": lambda: make_policy("glider"),
     "glider-window32": lambda: make_policy("glider", window_factor=32),
+    # The settings benchmarks/test_ablations.py reports.
+    "glider-adaptive": lambda: make_policy("glider", adaptive_threshold=True),
+    "glider-binary-insertion": lambda: make_policy(
+        "glider", confidence_insertion=False
+    ),
+    "glider-no-detrain": lambda: make_policy("glider", detrain_on_eviction=False),
+    "glider-k3": lambda: make_policy("glider", k=3),
+    "glider-tracker8": lambda: make_policy("glider", tracker_ways=8),
     "mpppb": lambda: make_policy("mpppb"),
     "mpppb-bits8-hist4-sampled4-bypass0": lambda: MPPPBPolicy(
         table_bits=8, history_length=4, num_sampler_sets=4, bypass_threshold=0
@@ -175,6 +184,28 @@ _INSTANCE_CASES = {
 #: instead of 96 so the sampler sees dead blocks; event and stats parity
 #: then cover the kernels' bypass path.
 _BYPASSING_CASES = {"mpppb-bits8-hist4-sampled4-bypass0", "perceptron-bypass-hist2"}
+
+#: Non-default Hawkeye and Glider cases, each against the default it
+#: departs from.  Glider's replay on 512 lines: on 96, ``tracker_ways=8``
+#: decides exactly as the default does and the adaptive sweep never
+#: leaves θ = 30.
+_ABLATION_CASES = {
+    "glider-adaptive": "glider",
+    "glider-binary-insertion": "glider",
+    "glider-no-detrain": "glider",
+    "glider-k3": "glider",
+    "glider-tracker8": "glider",
+    "hawkeye-bits8-sampled4": "hawkeye",
+}
+_WIDE_CASES = _BYPASSING_CASES | {c for c in _ABLATION_CASES if c.startswith("glider")}
+
+
+def _case_stream(case: str) -> LLCStream:
+    stream = _synthetic_stream(
+        n=3000, seed=13, line_count=512 if case in _WIDE_CASES else 96
+    )
+    stream.cores = np.arange(len(stream.pcs), dtype=np.int64) % 4
+    return stream
 
 
 def _trained_state(policy) -> dict:
@@ -231,9 +262,7 @@ def test_instance_dispatch_rule(case):
     trained tables, introspection and published metrics."""
     make = _INSTANCE_CASES[case]
     assert fast_path_kernel(make()) is not None
-    line_count = 512 if case in _BYPASSING_CASES else 96
-    stream = _synthetic_stream(n=3000, seed=13, line_count=line_count)
-    stream.cores = np.arange(len(stream.pcs), dtype=np.int64) % 4
+    stream = _case_stream(case)
     config = _llc()
     fast_policy, ref_policy = make(), make()
     fast_events: list = []
@@ -255,6 +284,24 @@ def test_instance_dispatch_rule(case):
         ), "the predictor must train"
     if case in _BYPASSING_CASES:
         assert ref.bypasses > 0, "the case must exercise the bypass path"
+
+
+@pytest.mark.parametrize("case", sorted(_ABLATION_CASES))
+def test_ablation_case_changes_the_decisions(case):
+    """Each ablation case is an oracle for its own branch only if it
+    decides differently from the default on the stream it replays."""
+    stream = _case_stream(case)
+    runs = []
+    for name in (case, _ABLATION_CASES[case]):
+        policy, events = _INSTANCE_CASES[name](), []
+        kernel = make_stream_kernel(policy, _llc(), engine="fast")
+        kernel.feed(stream, events)
+        kernel.finish()
+        runs.append((policy, events))
+    (ablated, ablated_events), (_default, default_events) = runs
+    assert ablated_events != default_events
+    if case == "glider-adaptive":
+        assert ablated.isvm.threshold != ablated.config.threshold
 
 
 @settings(max_examples=25, deadline=None)

@@ -58,8 +58,10 @@ def test_duplicate_tag_detected():
         check_cache_state(cache)
 
 
-def test_rrpv_out_of_bounds_detected():
-    cache = _warm_cache("srrip")
+@pytest.mark.parametrize("policy_name", ["srrip", "hawkeye", "glider"])
+def test_rrpv_out_of_bounds_detected(policy_name):
+    cache = _warm_cache(policy_name)
+    check_rrpv_bounds(cache)
     for ways in cache.sets:
         for line in ways:
             if line.valid:

@@ -11,9 +11,11 @@ from repro.cache import (
     simulate_llc,
 )
 from repro.core import DEFAULT_K, GliderConfig, GliderPolicy
+from repro.cache.fastsim import reference_replay
 from repro.core.glider import MAX_RRPV, MEDIUM_RRPV, RRPV_KEY
 from repro.policies import LRUPolicy
 
+from ..cache.test_fastsim import _synthetic_stream
 from ..conftest import make_trace
 
 
@@ -182,6 +184,24 @@ class TestLearning:
         assert policy.isvm.stats.trainings == 0
         assert not policy.pchr
         assert policy.prediction_checks == 0
+
+    def test_reset_after_an_adaptive_run_replays_like_a_fresh_instance(self):
+        """The sweep moves θ; reset() must restore the configured one."""
+        stream = _synthetic_stream(n=3000, seed=13, line_count=512)
+        config = CacheConfig("LLC", 16 * 4 * 64, 4)
+        adaptive = GliderConfig(adaptive_threshold=True)
+        policy = GliderPolicy(adaptive)
+        reference_replay(stream, policy, config)
+        assert policy.isvm.threshold != adaptive.threshold
+        policy.reset()
+        assert policy.isvm.threshold == adaptive.threshold
+        events, fresh_events = [], []
+        stats = reference_replay(stream, policy, config, record=events)
+        fresh = GliderPolicy(adaptive)
+        fresh_stats = reference_replay(stream, fresh, config, record=fresh_events)
+        assert events == fresh_events
+        assert stats == fresh_stats
+        assert policy.introspect() == fresh.introspect()
 
 
 class TestDetraining:

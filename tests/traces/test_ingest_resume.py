@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from repro.cache import fastsim
+from repro.core import glider
+from repro.optgen.sampler import _SampledLineInfo
 from repro.policies import mpppb
 from repro.robust.store import ArtifactStore
 from repro.traces.ingest import stream_replay
@@ -239,6 +241,34 @@ def _v4_layout_blob(monkeypatch):
     return "mpppb", blob
 
 
+def _v5_layout_blob(monkeypatch):
+    """A reference-engine Glider replay whose sampler holds the retired
+    ``_SampledContext`` (Hawkeye and Glider now store a plain
+    ``(context, predicted_friendly)`` pair) and whose lines keep their
+    RRPVs under the retired ``glider_rrpv`` key."""
+
+    class _SampledContext:
+        pass
+
+    _SampledContext.__module__ = glider.__name__
+    _SampledContext.__qualname__ = "_SampledContext"
+    monkeypatch.setattr(glider, "_SampledContext", _SampledContext, raising=False)
+    kernel = fastsim.make_stream_kernel("glider", None, engine="reference")
+    sampler = kernel.llc.policy.sampler
+    sampled_set = min(sampler.sampled_sets)
+    sampler._lines[sampled_set][sampled_set] = _SampledLineInfo(
+        pc=0, context=_SampledContext(), time=0
+    )
+    kernel.llc.sets[sampled_set][0].policy_state = {"glider_rrpv": 7}
+    blob = pickle.dumps(
+        {"cursor": 600, "kernel": kernel,
+         "filter": fastsim.StreamingLLCFilter(None, name=FIXTURE.name),
+         "llc_accesses": 0}
+    )
+    monkeypatch.undo()
+    return "glider", blob
+
+
 def _assert_old_layout_reads_as_none(tmp_path, monkeypatch, old_schema, layout):
     """A checkpoint pickled with an older layout must read as "no
     checkpoint", not resume into objects whose loops (or whose
@@ -252,7 +282,7 @@ def _assert_old_layout_reads_as_none(tmp_path, monkeypatch, old_schema, layout):
         {"state": np.frombuffer(blob, dtype=np.uint8)},
         metadata={"schema": old_schema, "cursor": 600},
     )
-    engine = "reference" if policy == "mpppb" else "auto"
+    engine = "auto" if policy == "lru" else "reference"
     resumed = stream_replay(
         FIXTURE, policy, engine=engine, chunk_records=CHUNK, store=store,
         resume=True,
@@ -273,4 +303,10 @@ def test_v3_layout_checkpoint_reads_as_none(tmp_path, monkeypatch):
 def test_v4_layout_checkpoint_reads_as_none(tmp_path, monkeypatch):
     _assert_old_layout_reads_as_none(
         tmp_path, monkeypatch, "repro.traces.ingest/checkpoint-v4", _v4_layout_blob
+    )
+
+
+def test_v5_layout_checkpoint_reads_as_none(tmp_path, monkeypatch):
+    _assert_old_layout_reads_as_none(
+        tmp_path, monkeypatch, "repro.traces.ingest/checkpoint-v5", _v5_layout_blob
     )
